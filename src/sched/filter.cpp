@@ -19,11 +19,15 @@ std::string MaxVmsFilter::name() const {
 
 bool LevelExclusiveFilter::admits(const HostState& host,
                                   const core::VmSpec& spec) const {
-  const auto commitments = host.level_commitments();
-  if (commitments.empty()) {
-    return true;
+  // Admit on an empty host, or when the only level with a commitment is the
+  // VM's own: any committed level other than spec.level rejects.
+  for (std::uint8_t ratio = 1; ratio <= core::OversubLevel::kMaxRatio; ++ratio) {
+    if (ratio != spec.level.ratio() &&
+        host.committed_vcpus(core::OversubLevel{ratio}) > 0) {
+      return false;
+    }
   }
-  return commitments.size() == 1 && commitments.begin()->first == spec.level;
+  return true;
 }
 
 HeadroomFilter::HeadroomFilter(double cpu_headroom, double mem_headroom)

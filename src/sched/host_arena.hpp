@@ -1,7 +1,7 @@
 // Struct-of-arrays mirror of a VCluster's host fleet.
 //
 // The authoritative per-host record stays HostState (AoS: one object per PM
-// with its own VM map). That layout is right for mutation but wrong for the
+// with its own VM list). That layout is right for mutation but wrong for the
 // two scans the sharded simulator hammers: per-event cluster aggregates
 // (total allocation / capacity / non-empty count) and the linear feasibility
 // sweeps of PlacementIndex seeding and compaction. HostArena keeps every
@@ -32,6 +32,7 @@
 #include "core/resources.hpp"
 #include "core/vm.hpp"
 #include "sched/host_state.hpp"
+#include "sched/scorer.hpp"
 
 namespace slackvm::sched {
 
@@ -107,6 +108,18 @@ class HostArena {
   /// Flattened [host][ratio] vCPU commitments, kLevels entries per host.
   [[nodiscard]] std::span<const core::VcpuCount> vcpus_per_level_col() const noexcept {
     return vcpus_per_level_;
+  }
+
+  /// The scorer's view of one row (scorer.hpp). Every field is the verbatim
+  /// column value, so for a scorer that supports_cols() the score of
+  /// cols(host) is bit-identical to the score of the HostState it mirrors.
+  [[nodiscard]] HostCols cols(HostId host) const noexcept {
+    return HostCols{config_cores_[host],
+                    config_mem_[host],
+                    alloc_cores_[host],
+                    committed_mem_[host],
+                    quantized_heat(host),
+                    &vcpus_per_level_[std::size_t{host} * kLevels]};
   }
 
   /// Same admission answer as hosts[host].can_host(spec), computed from the

@@ -1,8 +1,20 @@
 #include "sched/host_state.hpp"
 
+#include <algorithm>
+
 #include "core/error.hpp"
 
 namespace slackvm::sched {
+
+namespace {
+
+/// First hosted VM with an id not below `id`.
+template <typename Vms>
+auto lower_bound_id(Vms& vms, core::VmId id) {
+  return std::ranges::lower_bound(vms, id, {}, &HostedVm::first);
+}
+
+}  // namespace
 
 const char* to_string(HostPhase phase) noexcept {
   switch (phase) {
@@ -39,9 +51,14 @@ bool HostState::fits(const core::VmSpec& spec) const noexcept {
 }
 
 void HostState::add(core::VmId id, const core::VmSpec& spec) {
-  SLACKVM_ASSERT(!vms_.contains(id));
   SLACKVM_ASSERT(fits(spec));
-  vms_.emplace(id, spec);
+  if (vms_.empty() || vms_.back().first < id) {
+    vms_.emplace_back(id, spec);
+  } else {
+    const auto pos = lower_bound_id(vms_, id);
+    SLACKVM_ASSERT(pos->first != id);
+    vms_.emplace(pos, id, spec);
+  }
   vcpus_per_level_[spec.level.ratio()] += spec.vcpus;
   committed_mem_ += spec.mem_mib;
   recompute_alloc_cores();
@@ -49,8 +66,8 @@ void HostState::add(core::VmId id, const core::VmSpec& spec) {
 }
 
 void HostState::remove(core::VmId id) {
-  const auto it = vms_.find(id);
-  if (it == vms_.end()) {
+  const auto it = lower_bound_id(vms_, id);
+  if (it == vms_.end() || it->first != id) {
     SLACKVM_THROW("HostState::remove: unknown VM");
   }
   const core::VmSpec& spec = it->second;
@@ -59,6 +76,19 @@ void HostState::remove(core::VmId id) {
   vms_.erase(it);
   recompute_alloc_cores();
   ++epoch_;
+}
+
+std::vector<HostedVm> HostState::evict_all() {
+  if (vms_.empty()) {
+    return {};
+  }
+  for (const auto& [id, spec] : vms_) {
+    vcpus_per_level_[spec.level.ratio()] -= spec.vcpus;
+    committed_mem_ -= spec.mem_mib;
+  }
+  recompute_alloc_cores();
+  ++epoch_;
+  return std::exchange(vms_, {});
 }
 
 void HostState::reserve(core::VmId id, const core::VmSpec& spec) {
@@ -99,11 +129,16 @@ std::map<core::OversubLevel, core::VcpuCount> HostState::level_commitments() con
 }
 
 const core::VmSpec& HostState::spec_of(core::VmId id) const {
-  const auto it = vms_.find(id);
-  if (it == vms_.end()) {
+  const auto it = lower_bound_id(vms_, id);
+  if (it == vms_.end() || it->first != id) {
     SLACKVM_THROW("HostState::spec_of: unknown VM");
   }
   return it->second;
+}
+
+bool HostState::hosts_vm(core::VmId id) const noexcept {
+  const auto it = lower_bound_id(vms_, id);
+  return it != vms_.end() && it->first == id;
 }
 
 void HostState::recompute_alloc_cores() noexcept {

@@ -12,7 +12,10 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/oversub.hpp"
 #include "core/resources.hpp"
@@ -21,6 +24,9 @@
 namespace slackvm::sched {
 
 using HostId = std::uint32_t;
+
+/// One VM hosted on a PM, as HostState::vms() lists it.
+using HostedVm = std::pair<core::VmId, core::VmSpec>;
 
 /// Availability lifecycle of a PM (sim/fault.hpp drives the transitions):
 ///
@@ -147,6 +153,10 @@ class HostState {
   /// Release a VM; throws for unknown ids.
   void remove(core::VmId id);
 
+  /// Release every hosted VM at once and return them in ascending VmId
+  /// order (reservations stay booked). One epoch bump covers the batch.
+  [[nodiscard]] std::vector<HostedVm> evict_all();
+
   // --- migration reservations (sim/migration.hpp holds them in flight) -----
   //
   // A reservation double-books the capacity of a VM that is still running on
@@ -189,10 +199,13 @@ class HostState {
   /// Spec of a hosted VM; throws for unknown ids.
   [[nodiscard]] const core::VmSpec& spec_of(core::VmId id) const;
 
-  /// All hosted VMs (unordered).
-  [[nodiscard]] const std::unordered_map<core::VmId, core::VmSpec>& vms() const noexcept {
-    return vms_;
-  }
+  /// True when `id` is hosted here (reservations do not count).
+  [[nodiscard]] bool hosts_vm(core::VmId id) const noexcept;
+
+  /// All hosted VMs in strictly ascending VmId order. Every caller that
+  /// needs a deterministic VM order (evacuation, victim ranking, demand
+  /// sums) iterates this directly. The span is invalidated by add/remove.
+  [[nodiscard]] std::span<const HostedVm> vms() const noexcept { return vms_; }
 
  private:
   void recompute_alloc_cores() noexcept;
@@ -209,7 +222,10 @@ class HostState {
   double heat_bucket_width_ = 0.0;
   std::uint32_t heat_bucket_ = 0;
   std::uint64_t epoch_ = 0;
-  std::unordered_map<core::VmId, core::VmSpec> vms_;
+  /// Hosted VMs sorted by VmId. Trace ids usually grow with arrival time,
+  /// so an add is almost always an append; a PM holds tens of VMs, so a
+  /// mid-vector insert or erase shifts a few cache lines at most.
+  std::vector<HostedVm> vms_;
   /// In-flight migration reservations; booked in the accounting columns
   /// above but not in vms_.
   std::unordered_map<core::VmId, core::VmSpec> reservations_;

@@ -16,6 +16,7 @@ std::size_t PlacementIndex::KeyHash::operator()(const Key& k) const noexcept {
 PlacementIndex::PlacementIndex(Mode mode, const Scorer* scorer)
     : mode_(mode), scorer_(scorer) {
   SLACKVM_ASSERT(mode_ != Mode::kScore || scorer_ != nullptr);
+  score_cols_ = mode_ == Mode::kScore && scorer_->supports_cols();
 }
 
 void PlacementIndex::touch(HostId host) { dirty_log_.push_back(host); }
@@ -98,15 +99,24 @@ void PlacementIndex::sync(PerClass& pc, std::span<const HostState> hosts,
 
 void PlacementIndex::update_host(PerClass& pc, const HostState& host,
                                  const HostArena* arena) {
+  const HostId id = host.id();
+  if (mode_ == Mode::kScore) {
+    if (id >= pc.pushed.size()) {
+      pc.pushed.resize(std::size_t{id} + 1, kNeverPushed);
+    }
+    if (pc.pushed[id] == host.epoch()) {
+      return;  // an entry for this exact state is already in the heap
+    }
+  }
   // The arena mirrors the host exactly, so both branches answer the same;
   // the columnar one streams linearly during class seeding and batch syncs.
   const bool feasible =
-      arena != nullptr ? arena->can_host(host.id(), pc.spec) : host.can_host(pc.spec);
+      arena != nullptr ? arena->can_host(id, pc.spec) : host.can_host(pc.spec);
   if (mode_ == Mode::kFirstFit) {
     if (feasible) {
-      pc.feasible.insert(host.id());
+      pc.feasible.insert(id);
     } else {
-      pc.feasible.erase(host.id());
+      pc.feasible.erase(id);
     }
     return;
   }
@@ -115,14 +125,11 @@ void PlacementIndex::update_host(PerClass& pc, const HostState& host,
     // and get dropped when they surface at the heap top.
     return;
   }
-  const auto [it, inserted] = pc.pushed.try_emplace(host.id(), host.epoch());
-  if (!inserted) {
-    if (it->second == host.epoch()) {
-      return;  // an entry for this exact state is already in the heap
-    }
-    it->second = host.epoch();
-  }
-  pc.heap.push_back(Entry{scorer_->score(host, pc.spec), host.id(), host.epoch()});
+  pc.pushed[id] = host.epoch();
+  const double score = score_cols_ && arena != nullptr
+                           ? scorer_->score(arena->cols(id), pc.spec)
+                           : scorer_->score(host, pc.spec);
+  pc.heap.push_back(Entry{score, id, host.epoch()});
   std::push_heap(pc.heap.begin(), pc.heap.end(), entry_less);
 }
 

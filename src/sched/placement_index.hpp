@@ -9,7 +9,7 @@
 //
 //  1. *Epoch protocol* — HostState::epoch() is bumped by every add/remove,
 //     so any cached per-host datum tagged with the epoch it was computed at
-//     can be validated in O(1) without touching the host's VM map.
+//     can be validated in O(1) without touching the host's VM list.
 //  2. *Spec-class interning* — the workload catalogs emit a small closed
 //     set of distinct (vcpus, mem_mib, level) shapes; each gets a dense
 //     SpecClassId and its own candidate structure. UsageClass is excluded
@@ -97,12 +97,18 @@ class PlacementIndex {
     std::size_t operator()(const Key& k) const noexcept;
   };
 
+  /// `pushed` tag of a host with no entry in the heap yet.
+  static constexpr std::uint64_t kNeverPushed = ~std::uint64_t{0};
+
   struct PerClass {
     core::VmSpec spec;        ///< representative shape (usage irrelevant)
     std::size_t cursor = 0;   ///< first unconsumed dirty-log entry
     std::set<HostId> feasible;                          ///< kFirstFit
     std::vector<Entry> heap;                            ///< kScore max-heap
-    std::unordered_map<HostId, std::uint64_t> pushed;   ///< newest epoch pushed
+    /// kScore: per host id, the epoch of its newest heap entry (or
+    /// kNeverPushed). Only feasible hosts are pushed, so a tag equal to the
+    /// host's epoch settles a dirty host without a feasibility test.
+    std::vector<std::uint64_t> pushed;
   };
 
   /// Max-heap order matching the naive ScorePolicy scan: that scan keeps
@@ -123,6 +129,9 @@ class PlacementIndex {
 
   Mode mode_;
   const Scorer* scorer_;
+  /// kScore with a columnar scorer: entries are scored from the arena row
+  /// whenever select() is given one (HostCols mirrors the host exactly).
+  bool score_cols_ = false;
   std::unordered_map<Key, SpecClassId, KeyHash> ids_;
   std::vector<PerClass> classes_;
   std::vector<HostId> dirty_log_;

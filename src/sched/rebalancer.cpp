@@ -47,9 +47,6 @@ MigrationPlan Rebalancer::plan_naive(const VCluster& cluster,
   std::vector<HostState> hosts = cluster.hosts();
   std::vector<bool> attempted(hosts.size(), false);
   std::vector<bool> emptied(hosts.size(), false);
-  // Deterministic VM order, collected once per drain attempt into a reused
-  // buffer (the map itself is unordered).
-  std::vector<core::VmId> vms;
 
   while (plan.migrations.size() < max_migrations) {
     // Pick the untried non-empty host with the fewest VMs — the cheapest
@@ -76,13 +73,10 @@ MigrationPlan Rebalancer::plan_naive(const VCluster& cluster,
     std::vector<Migration> drain;
     std::vector<HostState> snapshot = hosts;  // rollback point
     bool drained = true;
-    vms.clear();
-    for (const auto& [id, spec] : source.vms()) {
-      vms.push_back(id);
-    }
-    std::ranges::sort(vms);
-    for (core::VmId vm : vms) {
-      const core::VmSpec spec = source.spec_of(vm);
+    // Ascending VmId order: each successful move removes the source's
+    // lowest-id VM, so the front is always the next one to place.
+    while (!source.empty()) {
+      const auto [vm, spec] = source.vms().front();
       std::optional<std::size_t> best;
       double best_score = 0.0;
       for (std::size_t h = 0; h < hosts.size(); ++h) {
@@ -144,8 +138,6 @@ MigrationPlan Rebalancer::plan_interference_naive(
   // considered as a polluter source at most once per pass.
   std::vector<HostState> hosts = cluster.hosts();
   std::vector<bool> attempted(hosts.size(), false);
-  // Victim ranking order, collected once per source into a reused buffer.
-  std::vector<core::VmId> vms;
 
   while (plan.migrations.size() < options.evictions_per_pass) {
     // Hottest untried UP host with at least two VMs (evicting the only VM
@@ -177,16 +169,9 @@ MigrationPlan Rebalancer::plan_interference_naive(
     // weighted by the VM's long-run mean usage. Deterministic: candidates
     // are ranked in ascending VmId order and replaced only on strictly
     // higher demand, so ties keep the lowest id.
-    vms.clear();
-    vms.reserve(src.vm_count());
-    for (const auto& [id, spec] : src.vms()) {
-      vms.push_back(id);
-    }
-    std::ranges::sort(vms);
     std::optional<core::VmId> victim;
     double victim_demand = 0.0;
-    for (const core::VmId vm : vms) {
-      const core::VmSpec& spec = src.spec_of(vm);
+    for (const auto& [vm, spec] : src.vms()) {
       const double demand = static_cast<double>(spec.vcpus) *
                             workload::UsageSignal(vm, spec.usage).mean();
       if (!victim || demand > victim_demand) {
@@ -338,14 +323,12 @@ void Rebalancer::PlanScratch::roll_back_to(std::size_t mark) {
 }
 
 void Rebalancer::PlanScratch::collect_source_vms(const HostState& source) {
-  source_vms.clear();
-  for (const auto& [vm, spec] : source.vms()) {
-    source_vms.emplace_back(vm, spec);
-  }
-  const auto& extra = gained[source.id()];
-  source_vms.insert(source_vms.end(), extra.begin(), extra.end());
-  std::ranges::sort(source_vms, {},
-                    &std::pair<core::VmId, core::VmSpec>::first);
+  // Both inputs ascend by VmId once the (move-ordered) gains are sorted.
+  gained_sorted.assign(gained[source.id()].begin(), gained[source.id()].end());
+  std::ranges::sort(gained_sorted, {}, &HostedVm::first);
+  source_vms.resize(source.vm_count() + gained_sorted.size());
+  std::ranges::merge(source.vms(), gained_sorted, source_vms.begin(), {},
+                     &HostedVm::first, &HostedVm::first);
 }
 
 void Rebalancer::PlanScratch::mark_shifted(HostId host) {
@@ -496,7 +479,7 @@ MigrationPlan Rebalancer::plan_interference_incremental(
     ++plan.hot_hosts;
 
     // Heaviest contributor: max vcpus x mean usage, ascending-VmId ranking
-    // keeps ties on the lowest id (collect_source_vms sorts).
+    // keeps ties on the lowest id (collect_source_vms lists by VmId).
     s.collect_source_vms(live[src]);
     std::optional<std::size_t> victim;
     double victim_demand = 0.0;

@@ -159,9 +159,10 @@ class Rebalancer {
     std::vector<std::uint8_t> emptied;
     std::vector<std::uint8_t> shifted;  ///< heat/cols diverged from the index view
     std::vector<HostId> shifted_list;
-    std::vector<std::vector<std::pair<core::VmId, core::VmSpec>>> gained;
+    std::vector<std::vector<HostedVm>> gained;  ///< in move order
     std::vector<HostId> gained_list;  ///< hosts with non-empty gained entries
-    std::vector<std::pair<core::VmId, core::VmSpec>> source_vms;
+    std::vector<HostedVm> gained_sorted;  ///< one source's gains, by VmId
+    std::vector<HostedVm> source_vms;
     std::vector<Migration> drain;
     std::vector<Undo> undo;
     std::vector<CountEntry> count_heap;
@@ -188,7 +189,8 @@ class Rebalancer {
     void move_vm(core::VmId vm, const core::VmSpec& spec, HostId from, HostId to);
     /// Reverse every move logged past `mark`, restoring columns and gained.
     void roll_back_to(std::size_t mark);
-    /// Live-map ∪ gained membership of `source`, ascending VmId.
+    /// Live-map ∪ gained membership of `source`, ascending VmId: a merge
+    /// of the host's own ascending VMs with its sorted gains.
     void collect_source_vms(const HostState& source);
     void mark_shifted(HostId host);
   };

@@ -29,7 +29,6 @@ HostId VCluster::place(core::VmId id, const core::VmSpec& spec) {
 }
 
 void VCluster::reserve(std::size_t expected_vms) {
-  placements_.reserve(expected_vms);
   // Hosts are bounded by live VMs but usually far fewer; cap the up-front
   // vector footprint — growth past the cap stays amortized either way.
   hosts_.reserve(std::min<std::size_t>(expected_vms, 4096));
@@ -119,30 +118,36 @@ std::optional<HostId> VCluster::try_place(core::VmId id, const core::VmSpec& spe
   hosts_[*chosen].add(id, spec);
   journal(MembershipDelta::Op::kAdd, *chosen, id, spec);
   note(*chosen);
-  placements_.emplace(id, *chosen);
+  placements_.insert(id, *chosen);
   return *chosen;
 }
 
 void VCluster::remove(core::VmId id) {
-  const auto it = placements_.find(id);
-  if (it == placements_.end()) {
+  if (!try_remove(id)) {
     SLACKVM_THROW("VCluster::remove: unknown VM");
   }
-  hosts_[it->second].remove(id);
-  journal(MembershipDelta::Op::kRemove, it->second, id, core::VmSpec{});
-  note(it->second);
-  placements_.erase(it);
+}
+
+bool VCluster::try_remove(core::VmId id) {
+  const std::optional<HostId> host = placements_.erase(id);
+  if (!host) {
+    return false;
+  }
+  hosts_[*host].remove(id);
+  journal(MembershipDelta::Op::kRemove, *host, id, core::VmSpec{});
+  note(*host);
+  return true;
 }
 
 bool VCluster::migrate(core::VmId vm, HostId to) {
-  const auto it = placements_.find(vm);
-  if (it == placements_.end()) {
+  HostId* placed = placements_.find(vm);
+  if (placed == nullptr) {
     SLACKVM_THROW("VCluster::migrate: unknown VM");
   }
   if (to >= hosts_.size()) {
     SLACKVM_THROW("VCluster::migrate: unknown target host");
   }
-  const HostId from = it->second;
+  const HostId from = *placed;
   if (from == to) {
     return true;
   }
@@ -161,7 +166,7 @@ bool VCluster::migrate(core::VmId vm, HostId to) {
   journal(MembershipDelta::Op::kAdd, to, vm, spec);
   note(from);
   note(to);
-  it->second = to;
+  *placed = to;
   return true;
 }
 
@@ -208,14 +213,14 @@ void VCluster::release_reservation(HostId host, core::VmId vm) {
 }
 
 void VCluster::commit_migration(core::VmId vm, HostId to) {
-  const auto it = placements_.find(vm);
-  if (it == placements_.end()) {
+  HostId* placed = placements_.find(vm);
+  if (placed == nullptr) {
     SLACKVM_THROW("VCluster::commit_migration: unknown VM");
   }
   if (to >= hosts_.size() || !hosts_[to].has_reservation(vm)) {
     SLACKVM_THROW("VCluster::commit_migration: no reservation held");
   }
-  const HostId from = it->second;
+  const HostId from = *placed;
   SLACKVM_ASSERT(from != to);
   // The engine aborts flights before their destination leaves UP; a commit
   // onto a draining or failed host means a missed notification.
@@ -232,7 +237,7 @@ void VCluster::commit_migration(core::VmId vm, HostId to) {
   journal(MembershipDelta::Op::kAdd, to, vm, spec);
   note(from);
   note(to);
-  it->second = to;
+  *placed = to;
 }
 
 HostPhase VCluster::host_phase(HostId host) const {
@@ -253,19 +258,13 @@ void VCluster::drain_host(HostId host) {
   note(host);
 }
 
-std::vector<std::pair<core::VmId, core::VmSpec>> VCluster::fail_host(HostId host) {
+std::vector<HostedVm> VCluster::fail_host(HostId host) {
   if (host >= hosts_.size()) {
     SLACKVM_THROW("VCluster::fail_host: unknown host");
   }
   HostState& state = hosts_[host];
-  // Ascending VmId order: the evacuation engine re-places victims in this
-  // order, so it must not depend on unordered_map iteration.
-  std::vector<std::pair<core::VmId, core::VmSpec>> victims(state.vms().begin(),
-                                                           state.vms().end());
-  std::sort(victims.begin(), victims.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<HostedVm> victims = state.evict_all();
   for (const auto& [vm, spec] : victims) {
-    state.remove(vm);
     placements_.erase(vm);
   }
   state.set_phase(HostPhase::kFailed);
@@ -289,17 +288,15 @@ std::size_t VCluster::migrate_off(HostId host) {
   if (host >= hosts_.size() || hosts_[host].phase() != HostPhase::kDraining) {
     SLACKVM_THROW("VCluster::migrate_off: host is not draining");
   }
-  std::vector<core::VmId> vms;
-  vms.reserve(hosts_[host].vm_count());
-  for (const auto& [vm, spec] : hosts_[host].vms()) {
-    vms.push_back(vm);
-  }
-  std::sort(vms.begin(), vms.end());
+  // Walk the host's own ascending VM vector by position: a moved VM leaves
+  // its successor at the same position, a restored one returns to it. Only
+  // this VM is placed in between, and never back onto the draining source
+  // (can_host is false off-UP), so no other entry shifts.
   std::size_t moved = 0;
-  for (const core::VmId vm : vms) {
-    const core::VmSpec spec = hosts_[host].spec_of(vm);
-    // Detach, then re-place through the regular policy/index path; the
-    // draining source cannot be re-chosen (can_host is false off-UP).
+  std::size_t pos = 0;
+  while (pos < hosts_[host].vm_count()) {
+    const auto [vm, spec] = hosts_[host].vms()[pos];
+    // Detach, then re-place through the regular policy/index path.
     hosts_[host].remove(vm);
     journal(MembershipDelta::Op::kRemove, host, vm, core::VmSpec{});
     placements_.erase(vm);
@@ -311,19 +308,20 @@ std::size_t VCluster::migrate_off(HostId host) {
       // leave the VM for a later fail_host eviction or natural departure.
       hosts_[host].add(vm, spec);
       journal(MembershipDelta::Op::kAdd, host, vm, spec);
-      placements_.emplace(vm, host);
+      placements_.insert(vm, host);
       note(host);
+      ++pos;
     }
   }
   return moved;
 }
 
 HostId VCluster::host_of(core::VmId vm) const {
-  const auto it = placements_.find(vm);
-  if (it == placements_.end()) {
+  const HostId* host = placements_.find(vm);
+  if (host == nullptr) {
     SLACKVM_THROW("VCluster::host_of: unknown VM");
   }
-  return it->second;
+  return *host;
 }
 
 

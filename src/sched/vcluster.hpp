@@ -11,7 +11,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "sched/host_state.hpp"
 #include "sched/placement_index.hpp"
 #include "sched/policy.hpp"
+#include "sched/vm_directory.hpp"
 
 namespace slackvm::sched {
 
@@ -70,8 +70,11 @@ class VCluster {
   }
   [[nodiscard]] bool index_enabled() const noexcept { return index_enabled_; }
 
-  /// Pre-size the placement containers for an expected number of VMs (a
-  /// trace-size hint). Purely a capacity hint — never required.
+  /// Pre-size the host containers for an expected number of VMs (a
+  /// trace-size hint). Purely a capacity hint — never required. The VM
+  /// directory ignores it: a trace's row count overstates the live VMs by
+  /// the ratio of its span to the mean lifetime, so the table grows with
+  /// the live population instead.
   void reserve(std::size_t expected_vms);
 
   /// Live-migrate a VM to a specific open host; returns false (no state
@@ -116,6 +119,10 @@ class VCluster {
   /// open (they were provisioned) and are reused by later placements.
   void remove(core::VmId id);
 
+  /// Like remove(), but returns false (state unchanged) for a VM that is
+  /// not placed here — one directory probe whether or not it is.
+  bool try_remove(core::VmId id);
+
   // --- availability lifecycle (sim/fault.hpp drives these) -----------------
 
   /// Current phase of an opened host; throws for unknown hosts.
@@ -127,11 +134,11 @@ class VCluster {
   void drain_host(HostId host);
 
   /// Any phase → FAILED: evict every VM the host ran and return the victims
-  /// in ascending VmId order (the deterministic evacuation order). The host
-  /// stays in the fleet (opened_hosts is unchanged) but admits nothing until
-  /// repaired. Throws for unknown hosts; no-op victims list when already
-  /// failed.
-  [[nodiscard]] std::vector<std::pair<core::VmId, core::VmSpec>> fail_host(HostId host);
+  /// in ascending VmId order (the deterministic evacuation order, which is
+  /// the host's own VM order). The host stays in the fleet (opened_hosts is
+  /// unchanged) but admits nothing until repaired. Throws for unknown hosts;
+  /// no-op victims list when already failed.
+  [[nodiscard]] std::vector<HostedVm> fail_host(HostId host);
 
   /// DRAINING|FAILED → UP: the host admits placements again. No-op when
   /// already up; throws for unknown hosts.
@@ -286,7 +293,7 @@ class VCluster {
   std::optional<std::size_t> max_hosts_;
   std::vector<HostState> hosts_;
   HostArena arena_;  ///< SoA mirror of hosts_, maintained by note()
-  std::unordered_map<core::VmId, HostId> placements_;
+  VmDirectory placements_;  ///< VmId -> host, one entry per placed VM
   bool index_enabled_ = true;
   /// Membership journal (arm_membership_log). lost_ starts true so the
   /// first take after arming reports the pre-arming history as dropped.

@@ -34,17 +34,25 @@ void audit_host(const sched::HostState& host, const std::string& where,
   }
 
   // Recompute the per-level commitments and the resource totals from the
-  // per-VM maps — the structures the fast accounting is derived from. A
+  // per-VM lists — the structures the fast accounting is derived from. A
   // migration reservation double-books exactly like a hosted VM, so both
-  // maps feed the recomputation.
+  // lists feed the recomputation.
   std::array<core::VcpuCount, core::OversubLevel::kMaxRatio + 1> vcpus{};
   core::MemMib mem = 0;
+  const core::VmId* previous = nullptr;
   for (const auto& [vm, spec] : host.vms()) {
+    // Every deterministic VM order (evacuation, victim ranking, demand
+    // sums) is this vector's order, so it must ascend strictly.
+    if (previous != nullptr && !(*previous < vm)) {
+      fail("VM list not strictly ascending: " + std::to_string(previous->value) +
+           " before " + std::to_string(vm.value));
+    }
+    previous = &vm;
     vcpus[spec.level.ratio()] += spec.vcpus;
     mem += spec.mem_mib;
   }
   for (const auto& [vm, spec] : host.reservations()) {
-    if (host.vms().contains(vm)) {
+    if (host.hosts_vm(vm)) {
       fail("VM " + std::to_string(vm.value) + " both hosted and reserved");
     }
     vcpus[spec.level.ratio()] += spec.vcpus;
@@ -123,23 +131,21 @@ std::vector<std::string> audit(const sched::VCluster& cluster) {
     audit_host(host, cluster.name(), out);
     hosted += host.vm_count();
     for (const auto& [vm, spec] : host.vms()) {
-      try {
-        if (cluster.host_of(vm) != host.id()) {
-          out.push_back(cluster.name() + ": VM " + std::to_string(vm.value) +
-                        " on host " + std::to_string(host.id()) +
-                        " but placements map says host " +
-                        std::to_string(cluster.host_of(vm)));
-        }
-      } catch (const std::exception&) {
+      if (!cluster.contains(vm)) {
         out.push_back(cluster.name() + ": VM " + std::to_string(vm.value) +
                       " on host " + std::to_string(host.id()) +
-                      " missing from the placements map");
+                      " missing from the VM directory");
+      } else if (cluster.host_of(vm) != host.id()) {
+        out.push_back(cluster.name() + ": VM " + std::to_string(vm.value) +
+                      " on host " + std::to_string(host.id()) +
+                      " but the VM directory says host " +
+                      std::to_string(cluster.host_of(vm)));
       }
     }
   }
   if (hosted != cluster.vm_count()) {
     out.push_back(cluster.name() + ": hosts run " + std::to_string(hosted) +
-                  " VMs but the placements map holds " +
+                  " VMs but the VM directory holds " +
                   std::to_string(cluster.vm_count()));
   }
   // The SoA mirror must agree with the authoritative rows field-for-field;

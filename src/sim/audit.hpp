@@ -13,8 +13,10 @@
 //  * in-flight migration reservations double-book coherently: they feed the
 //    same per-level/memory recomputation as hosted VMs, never overlap the
 //    hosted set, and only UP hosts hold them;
-//  * VM membership is conserved across host maps, cluster placements, and
-//    the per-cluster counts the datacenter aggregates;
+//  * each host's VM vector ascends strictly by VmId (the order every
+//    deterministic VM walk relies on), and VM membership is conserved
+//    across those vectors, the cluster's VM directory, and the per-cluster
+//    counts the datacenter aggregates;
 //  * the cluster's struct-of-arrays mirror (sched/host_arena.hpp) agrees
 //    field-for-field with the authoritative host rows.
 //
@@ -36,11 +38,12 @@
 namespace slackvm::sim {
 
 /// Host-level invariants only (phase/emptiness, per-level bounds,
-/// allocation and memory conservation against the per-host VM map).
+/// allocation and memory conservation against the per-host VM vector,
+/// which must ascend strictly by VmId).
 [[nodiscard]] std::vector<std::string> audit(std::span<const sched::HostState> hosts);
 
 /// Host invariants plus cluster-level membership conservation (every hosted
-/// VM maps back to its host, counts agree).
+/// VM maps back to its host in the cluster's VM directory, counts agree).
 [[nodiscard]] std::vector<std::string> audit(const sched::VCluster& cluster);
 
 /// Cluster invariants across every cluster plus datacenter-level VM-count

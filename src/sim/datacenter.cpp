@@ -121,8 +121,7 @@ void Datacenter::reserve(std::size_t expected_vms) {
 
 void Datacenter::remove(core::VmId id) {
   for (const auto& cluster : clusters_) {
-    if (cluster->contains(id)) {
-      cluster->remove(id);
+    if (cluster->try_remove(id)) {
       return;
     }
   }

@@ -16,8 +16,8 @@ RunResult replay(Datacenter& dc, EventSource& source,
   MetricsCollector metrics;
   RunResult result;
 
-  // Row-count hint: pre-size placement maps/host vectors before the churn.
-  // Purely a performance hint — absent for unscanned streams.
+  // Row-count hint: pre-size the host vectors before the churn. Purely a
+  // performance hint — absent for unscanned streams.
   if (const std::optional<std::size_t> rows = source.size_hint()) {
     dc.reserve(*rows);
   }

@@ -40,19 +40,12 @@ std::vector<HostUsage> sample_host_usage(const sched::VCluster& cluster,
   const std::vector<sched::HostState>& hosts = cluster.hosts();
   std::vector<HostUsage> out;
   out.reserve(hosts.size());
-  std::vector<core::VmId> vms;
   for (const sched::HostState& host : hosts) {
     HostUsage usage;
     usage.capacity_cores = host.config().cores;
-    // Ascending-VmId summation: the heat this feeds steers placement, so
-    // the float result must not depend on unordered_map iteration order.
-    vms.clear();
+    // Ascending-VmId summation (the host's own VM order): the heat this
+    // feeds steers placement, so the float result is pinned to that order.
     for (const auto& [vm, spec] : host.vms()) {
-      vms.push_back(vm);
-    }
-    std::ranges::sort(vms);
-    for (const core::VmId vm : vms) {
-      const core::VmSpec& spec = host.spec_of(vm);
       usage.demand_cores += static_cast<double>(spec.vcpus) *
                             workload::UsageSignal(vm, spec.usage).at(t);
     }
@@ -114,19 +107,12 @@ const std::vector<HostUsage>& DemandCache::sample(sched::VCluster& cluster,
     const sched::HostState& host = hosts[h];
     Entry& entry = entries_[h];
     if (!entry.present || (!exact && entry.epoch != host.epoch())) {
-      // Re-derive the term list exactly as the naive sample does —
-      // ascending-VmId — but with the specs captured in the same map walk
-      // that lists the ids (spec_of would be a second hash probe per VM).
+      // Re-derive the term list exactly as the naive sample does, in the
+      // host's ascending-VmId order.
       entry.terms.clear();
-      vms_.clear();
       for (const auto& [vm, spec] : host.vms()) {
-        vms_.emplace_back(vm, &spec);
-      }
-      std::ranges::sort(vms_, {},
-                        &std::pair<core::VmId, const core::VmSpec*>::first);
-      for (const auto& [vm, spec] : vms_) {
-        entry.terms.push_back(Term{vm, static_cast<double>(spec->vcpus),
-                                   workload::UsageSignal(vm, spec->usage)});
+        entry.terms.push_back(Term{vm, static_cast<double>(spec.vcpus),
+                                   workload::UsageSignal(vm, spec.usage)});
       }
       entry.present = true;
       ++rebuilds_;

@@ -67,20 +67,21 @@ struct UsageReport {
   std::size_t inflation_samples = 0;
 };
 
-/// Take one sample of the datacenter's demand at time `t`.
+/// Take one sample of the datacenter's demand at time `t`. Each host's
+/// demand sums its VMs in ascending VmId order, as sample_host_usage does.
 [[nodiscard]] UsageSample sample_usage(const Datacenter& dc, core::SimTime t);
 
 /// Per-host demand breakdown of one cluster at time `t`, indexed by HostId.
-/// Each host's demand sums its VMs in ascending VmId order, so the
-/// floating-point result is independent of placement-map iteration order.
+/// Each host's demand sums its VMs in ascending VmId order (the order
+/// HostState::vms() lists them), which pins the floating-point result.
 [[nodiscard]] std::vector<HostUsage> sample_host_usage(
     const sched::VCluster& cluster, core::SimTime t);
 
 /// Incremental demand terms behind update_cluster_heat: per host, the
 /// cached (ascending-VmId) list of vcpus x UsageSignal terms whose sum is
 /// exactly sample_host_usage's demand. A heat tick re-derives a host's term
-/// list — the unordered-map walk, sort, and spec lookups — only when its
-/// epoch moved since the last tick; every other host just replays its
+/// list (one walk of the host's ascending VM vector, one UsageSignal per
+/// VM) only when its epoch moved since the last tick; every other host just replays its
 /// cached terms, in the same stored order and with the same float ops, so
 /// the result is bit-identical to the naive sample.
 ///
@@ -131,8 +132,6 @@ class DemandCache {
   std::vector<Entry> entries_;
   std::vector<HostUsage> usage_;
   std::vector<sched::MembershipDelta> log_;  ///< journal drain buffer
-  /// Rebuild scratch: (id, spec) captured in one map walk, sorted by id.
-  std::vector<std::pair<core::VmId, const core::VmSpec*>> vms_;
   std::size_t rebuilds_ = 0;
 };
 

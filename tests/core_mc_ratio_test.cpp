@@ -116,16 +116,19 @@ TEST(RatioDelta, ZeroWhenEmptyOrOnTarget) {
 // Parameterized property sweep: for any current allocation, a VM that moves
 // the ratio strictly toward the target never scores negative, and a VM that
 // moves it strictly away never scores positive.
+// Both fields are 64-bit so the struct has no padding: ctest names each case
+// after gtest's byte dump of the parameter, and padding bytes would make those
+// names differ from build to build.
 struct AllocCase {
-  CoreCount cores;
+  std::int64_t cores;
   std::int64_t mem_gib;
 };
 
 class ProgressDirectionProperty : public ::testing::TestWithParam<AllocCase> {};
 
 TEST_P(ProgressDirectionProperty, SignMatchesDirection) {
-  const auto [cores, mem_gib] = GetParam();
-  const Resources alloc{cores, gib(mem_gib)};
+  const auto cores = static_cast<CoreCount>(GetParam().cores);
+  const Resources alloc{cores, gib(GetParam().mem_gib)};
   const double target = 4.0;
   const double current = mib_to_gib(alloc.mem_mib) / cores;
 

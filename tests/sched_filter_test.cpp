@@ -50,6 +50,34 @@ TEST(LevelExclusiveFilterTest, RejectsSecondLevel) {
   EXPECT_FALSE(filter.admits(host, spec(1, gib(1), 3)));
 }
 
+TEST(LevelExclusiveFilterTest, AnswersOnEmptySingleAndMixedHosts) {
+  const LevelExclusiveFilter filter;
+  HostState host(0, kWorker);
+  // Empty: every level is admitted.
+  for (std::uint8_t ratio = 1; ratio <= OversubLevel::kMaxRatio; ++ratio) {
+    EXPECT_TRUE(filter.admits(host, spec(1, gib(1), ratio))) << int{ratio};
+  }
+  // Single level (3:1), even with several VMs: only that level is admitted.
+  host.add(VmId{1}, spec(2, gib(2), 3));
+  host.add(VmId{2}, spec(4, gib(2), 3));
+  for (std::uint8_t ratio = 1; ratio <= OversubLevel::kMaxRatio; ++ratio) {
+    EXPECT_EQ(filter.admits(host, spec(1, gib(1), ratio)), ratio == 3) << int{ratio};
+  }
+  // Mixed (the filter never builds such a host, but a cluster may have
+  // installed it mid-run): no level is admitted, not even a present one.
+  host.add(VmId{3}, spec(1, gib(1), 1));
+  for (std::uint8_t ratio = 1; ratio <= OversubLevel::kMaxRatio; ++ratio) {
+    EXPECT_FALSE(filter.admits(host, spec(1, gib(1), ratio))) << int{ratio};
+  }
+  // Back to one level once the intruder leaves, and to empty after that.
+  host.remove(VmId{3});
+  EXPECT_TRUE(filter.admits(host, spec(1, gib(1), 3)));
+  EXPECT_FALSE(filter.admits(host, spec(1, gib(1), 1)));
+  host.remove(VmId{1});
+  host.remove(VmId{2});
+  EXPECT_TRUE(filter.admits(host, spec(1, gib(1), 1)));
+}
+
 TEST(HeadroomFilterTest, ReservesCapacity) {
   const HeadroomFilter filter(0.25, 0.25);  // keep a quarter free
   HostState host(0, kWorker);

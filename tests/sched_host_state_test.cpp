@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/error.hpp"
 
 namespace slackvm::sched {
@@ -108,6 +110,55 @@ TEST(HostStateTest, VcpuBudgetAtSingleLevelMatchesRatio) {
   }
   EXPECT_FALSE(host.can_host(spec(1, gib(1), 3)));
   EXPECT_EQ(host.alloc().cores, 32U);
+}
+
+TEST(HostStateTest, VmsAscendWhateverTheAddOrder) {
+  HostState host(0, kWorker);
+  for (const std::uint64_t id : {7U, 3U, 9U, 1U, 5U, 8U}) {
+    host.add(VmId{id}, spec(1, gib(1), 2));
+  }
+  host.remove(VmId{5});
+  std::vector<std::uint64_t> ids;
+  for (const auto& [vm, vm_spec] : host.vms()) {
+    ids.push_back(vm.value);
+  }
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 3, 7, 8, 9}));
+  EXPECT_TRUE(host.hosts_vm(VmId{7}));
+  EXPECT_FALSE(host.hosts_vm(VmId{5}));
+  EXPECT_THROW((void)host.spec_of(VmId{5}), core::SlackError);
+}
+
+TEST(HostStateTest, EvictAllMatchesRemovingOneByOne) {
+  HostState batch(0, kWorker);
+  HostState single(0, kWorker);
+  for (const std::uint64_t id : {4U, 2U, 6U}) {
+    batch.add(VmId{id}, spec(static_cast<core::VcpuCount>(id), gib(2), 3));
+    single.add(VmId{id}, spec(static_cast<core::VcpuCount>(id), gib(2), 3));
+  }
+  batch.reserve(VmId{10}, spec(1, gib(1), 1));
+  single.reserve(VmId{10}, spec(1, gib(1), 1));
+  const std::uint64_t epoch = batch.epoch();
+  const std::vector<HostedVm> victims = batch.evict_all();
+  ASSERT_EQ(victims.size(), 3U);
+  EXPECT_EQ(victims[0].first, VmId{2});
+  EXPECT_EQ(victims[1].first, VmId{4});
+  EXPECT_EQ(victims[2].first, VmId{6});
+  EXPECT_EQ(victims[1].second.vcpus, 4U);
+  for (const auto& [vm, vm_spec] : victims) {
+    single.remove(vm);
+  }
+  EXPECT_TRUE(batch.empty());
+  EXPECT_GT(batch.epoch(), epoch);
+  EXPECT_EQ(batch.alloc(), single.alloc());
+  EXPECT_EQ(batch.reservation_count(), 1U);  // bookings survive an eviction
+  for (std::uint8_t ratio = 1; ratio <= OversubLevel::kMaxRatio; ++ratio) {
+    EXPECT_EQ(batch.committed_vcpus(OversubLevel{ratio}),
+              single.committed_vcpus(OversubLevel{ratio}));
+  }
+  // An empty host evicts nothing and keeps its epoch.
+  const std::uint64_t settled = batch.epoch();
+  EXPECT_TRUE(batch.evict_all().empty());
+  EXPECT_EQ(batch.epoch(), settled);
 }
 
 }  // namespace

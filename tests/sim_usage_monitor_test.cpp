@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "core/error.hpp"
 #include "perf/contention.hpp"
 #include "sched/policy.hpp"
@@ -131,6 +134,52 @@ TEST(HostUsageTest, BreakdownSumsToTheClusterSample) {
     total += usage[h].demand_cores;
   }
   EXPECT_NEAR(total, sample.demand_cores, 1e-9);
+}
+
+TEST(UsageSampleTest, SumsEachHostInAscendingVmIdOrderBitExactly) {
+  // Deploy in a scrambled id order with mixed usage classes and depart a
+  // few, so neither arrival order nor any hash order equals id order; the
+  // sample must equal a reference that sums every host's VMs by ascending
+  // id, compared as exact doubles.
+  Datacenter dc = Datacenter::shared({32, gib(128)}, sched::make_progress_policy);
+  const core::UsageClass classes[] = {core::UsageClass::kIdle,
+                                      core::UsageClass::kSteady,
+                                      core::UsageClass::kBursty,
+                                      core::UsageClass::kInteractive};
+  std::map<std::uint64_t, core::VmSpec> live;
+  for (std::uint64_t i = 0; i < 101; ++i) {
+    const std::uint64_t id = 1 + (i * 37) % 101;
+    const core::VmSpec spec =
+        make_vm(id, 1 + static_cast<core::VcpuCount>(id % 7), gib(1),
+                static_cast<std::uint8_t>(1 + id % 3), classes[id % 4])
+            .spec;
+    dc.deploy(core::VmId{id}, spec);
+    live.emplace(id, spec);
+  }
+  for (std::uint64_t id = 5; id <= 101; id += 9) {
+    dc.remove(core::VmId{id});
+    live.erase(id);
+  }
+  const sched::VCluster& cluster = *dc.clusters()[0];
+  const core::SimTime t = 4321.0;
+  std::vector<double> demand(cluster.opened_hosts(), 0.0);
+  for (const auto& [id, spec] : live) {  // std::map: ascending ids
+    const core::VmId vm{id};
+    demand[cluster.host_of(vm)] +=
+        static_cast<double>(spec.vcpus) * workload::UsageSignal(vm, spec.usage).at(t);
+  }
+  const UsageSample sample = sample_usage(dc, t);
+  ASSERT_EQ(sample.host_q.size(), demand.size());
+  double total = 0.0;
+  for (std::size_t h = 0; h < demand.size(); ++h) {
+    EXPECT_EQ(sample.host_q[h], demand[h] / 32.0) << h;
+    total += demand[h];
+  }
+  EXPECT_EQ(sample.demand_cores, total);
+  const auto usage = sample_host_usage(cluster, t);
+  for (std::size_t h = 0; h < demand.size(); ++h) {
+    EXPECT_EQ(usage[h].demand_cores, demand[h]) << h;
+  }
 }
 
 TEST(HostUsageTest, HeatEwmaMatchesHandComputedReference) {
