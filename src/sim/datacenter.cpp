@@ -151,17 +151,6 @@ std::size_t Datacenter::active_pms() const {
   return active;
 }
 
-std::size_t Datacenter::rebalance(const sched::Rebalancer& rebalancer,
-                                  std::size_t max_migrations_per_cluster) {
-  std::size_t applied = 0;
-  for (const auto& cluster : clusters_) {
-    const sched::MigrationPlan plan =
-        rebalancer.plan(*cluster, max_migrations_per_cluster);
-    applied += sched::Rebalancer::apply_plan(*cluster, plan);
-  }
-  return applied;
-}
-
 const std::map<std::string, std::size_t>& Datacenter::opened_per_cluster() const {
   if (opened_cache_.size() != clusters_.size()) {
     opened_cache_.clear();

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/oversub.hpp"
-#include "sched/rebalancer.hpp"
 #include "sched/vcluster.hpp"
 
 namespace slackvm::sim {
@@ -112,11 +111,6 @@ class Datacenter {
   /// PMs currently hosting at least one VM (can shrink after departures or
   /// migration-driven consolidation; emptied PMs could be powered down).
   [[nodiscard]] std::size_t active_pms() const;
-
-  /// Run one rebalancing pass (live migration, §VII-B2a future work) over
-  /// every cluster; returns the number of migrations performed.
-  std::size_t rebalance(const sched::Rebalancer& rebalancer,
-                        std::size_t max_migrations_per_cluster);
 
   /// Opened PMs per cluster, keyed by cluster name. Cluster names are fixed
   /// at construction, so the returned map is a member cache whose counts are

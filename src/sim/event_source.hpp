@@ -102,7 +102,8 @@ class MaterializedSource final : public EventSource {
 
 /// EventSource over a streaming TraceReader (owned). Pass the result of a
 /// TraceReader::scan() pre-pass to provide the hints sharded/periodic
-/// replays need; without it the source works for plain serial replays only.
+/// replays need; without it the source works for plain one-shard replays
+/// only.
 class StreamingTraceSource final : public EventSource {
  public:
   explicit StreamingTraceSource(
@@ -144,7 +145,7 @@ class StreamingTraceSource final : public EventSource {
 
 /// EventSource over the synthetic generator's row stream. The generator
 /// (and its catalog) must outlive the source. No horizon hint — see the
-/// file comment — so this pairs with plain serial replays; materialize via
+/// file comment — so this pairs with plain one-shard replays; materialize via
 /// Generator::generate() when a horizon is needed.
 class GeneratorSource final : public EventSource {
  public:

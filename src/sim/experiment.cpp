@@ -1,5 +1,6 @@
 #include "sim/experiment.hpp"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -107,37 +108,17 @@ CellResult run_cell(const workload::Catalog& catalog, const workload::LevelMix& 
     return sched::make_progress_policy();
   };
 
-  CellResult cell;
-  if (config.shards <= 1) {
-    // Baseline: dedicated First-Fit clusters.
-    Datacenter baseline = Datacenter::dedicated(config.host_config, levels,
-                                                sched::make_first_fit, config.mem_oversub);
-    baseline.set_index_enabled(config.use_index);
-    {
-      const std::unique_ptr<EventSource> source = open_source();
-      cell.baseline = replay(baseline, *source, rebalance, nullptr, fault_ptr);
-    }
-
-    // SlackVM: one shared cluster, Algorithm-2 progress scoring (heat-aware
-    // when the interference loop is armed).
-    Datacenter slackvm =
-        Datacenter::shared(config.host_config, shared_policy, config.mem_oversub);
-    slackvm.set_index_enabled(config.use_index);
-    {
-      const std::unique_ptr<EventSource> source = open_source();
-      cell.slackvm = replay(slackvm, *source, rebalance, nullptr, fault_ptr);
-    }
-    return cell;
-  }
-
-  // Sharded engine. Threads stay at 1 here: the experiment grid is already
-  // fanned out across cells by ParallelRunner, so nesting pools would
-  // oversubscribe; the sharded run is bit-identical at any thread count.
+  // Threads stay at 1: the experiment grid is already fanned out across
+  // cells by ParallelRunner, so nesting pools would oversubscribe; the
+  // replay is bit-identical at any thread count. shards == 0 means 1.
+  const std::size_t shards = std::max<std::size_t>(1, config.shards);
   ShardOptions shard_options;
-  shard_options.shards = config.shards;
-  shard_options.threads = 1;
-  shard_options.faults = fault_ptr;
+  shard_options.shards = shards;
   shard_options.rebalance = rebalance;
+  shard_options.faults = fault_ptr;
+
+  CellResult cell;
+  // Baseline: dedicated First-Fit clusters.
   Datacenter baseline = Datacenter::dedicated(config.host_config, levels,
                                               sched::make_first_fit, config.mem_oversub);
   baseline.set_index_enabled(config.use_index);
@@ -146,8 +127,11 @@ CellResult run_cell(const workload::Catalog& catalog, const workload::LevelMix& 
     cell.baseline = replay_sharded(baseline, *source, shard_options);
   }
 
-  Datacenter slackvm = Datacenter::shared_sharded(
-      config.host_config, shared_policy, config.shards, config.mem_oversub);
+  // SlackVM: one shared cluster per shard (exactly shared() at one shard),
+  // Algorithm-2 progress scoring (heat-aware when the interference loop is
+  // armed).
+  Datacenter slackvm = Datacenter::shared_sharded(config.host_config, shared_policy,
+                                                  shards, config.mem_oversub);
   slackvm.set_index_enabled(config.use_index);
   {
     const std::unique_ptr<EventSource> source = open_source();

@@ -34,9 +34,9 @@ struct ExperimentConfig {
   /// results are reduced in grid order, so every value of this knob yields
   /// bit-identical results — it only changes wall-clock time.
   std::size_t parallelism = 1;
-  /// Shard count for the sharded datacenter engine (sim/shard.hpp): 1 runs
-  /// the serial replay() reference; > 1 replays through replay_sharded with
-  /// this many shards — in shared mode the datacenter becomes the
+  /// Shard count for the replay loop (sim/shard.hpp; 0 means 1): 1 is the
+  /// plain replay() on one shared cluster; > 1 replays with this many
+  /// shards — in shared mode the datacenter becomes the
   /// cell-partitioned Datacenter::shared_sharded organisation (VMs routed
   /// by id across `shards` shared clusters), in dedicated mode the level
   /// clusters are dealt round-robin across shards. A given shard count is

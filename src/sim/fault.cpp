@@ -49,7 +49,7 @@ void FaultInjector::schedule_seeded(std::size_t k, core::SimTime horizon) {
   const std::uint64_t host_slot = rng();
   // The target cluster is fixed at schedule time (the cluster count never
   // changes during a run), so a sharded injector can drop the events it
-  // does not own here and the per-shard timetables partition the serial one.
+  // does not own here and the per-shard timetables partition the one-shard one.
   const auto cluster = static_cast<std::size_t>(cluster_slot % dc_.clusters().size());
   if (!scope_.owns(cluster)) {
     return;

@@ -96,10 +96,10 @@ inline constexpr std::uint64_t kFaultSeedStream = 0xFA173EED;
 
 /// Which slice of the datacenter a FaultInjector drives: clusters whose
 /// index is `shard` modulo `of`. The default ({0, 1}) is the whole
-/// datacenter — the serial replay. The sharded engine (sim/shard.hpp) gives
+/// datacenter — a one-shard replay. The sharded loop (sim/shard.hpp) gives
 /// each shard its own injector scoped to its clusters; every injector arms
 /// the full seeded timetable and keeps exactly the events it owns, so the
-/// union across shards is the serial timetable, split without overlap.
+/// union across shards is the one-shard timetable, split without overlap.
 struct ShardScope {
   std::size_t shard = 0;
   std::size_t of = 1;

@@ -75,7 +75,7 @@ struct MigrationConfig {
   /// Concurrent flights a single host may source *or* sink (its NIC budget).
   std::size_t max_concurrent_per_host = 2;
   /// In-flight budget per cluster: further intents queue FIFO. Per cluster —
-  /// never global — so the sharded engines evolve exactly like the serial one.
+  /// never global — so the shard engines evolve exactly like a one-shard one.
   std::size_t max_in_flight = 16;
   /// Abort a flight whose pre-copy has not completed after this long
   /// (0 = never). Timeouts are terminal: durations are deterministic, so a

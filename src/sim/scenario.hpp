@@ -15,8 +15,8 @@
 //   repetitions  3
 //   parallelism  1                 # worker threads (0 = all cores); results
 //                                  # are identical at every value
-//   shards       1                 # sharded datacenter engine (sim/shard.hpp):
-//                                  # 1 = serial reference; > 1 = cell-partitioned
+//   shards       1                 # replay loop shards (sim/shard.hpp):
+//                                  # 1 = plain replay; > 1 = cell-partitioned
 //                                  # sharded replay (bit-identical across
 //                                  # parallelism/index for a given value)
 //   index        on                # incremental placement index (on|off);

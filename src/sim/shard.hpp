@@ -1,5 +1,6 @@
-// Sharded datacenter execution: run one Datacenter's clusters concurrently
-// on the ThreadPool, bit-identically to the serial replay.
+// The replay loop: drive a Datacenter with a workload trace through the
+// event queue, with its clusters dealt across one or more shards, and
+// collect run metrics. sim::replay is the one-shard case of this loop.
 //
 // The unit of parallelism is the VCluster (Stillwell et al.'s per-cluster
 // decomposition): shard k owns the clusters whose index is k modulo the
@@ -7,8 +8,28 @@
 // pure function of (VmId, spec) — no event of one shard ever reads or
 // writes another shard's state. Each shard therefore gets its own
 // EventQueue, its own partial RunResult counters, its own FaultInjector
-// (scoped so the per-shard timetables partition the serial one), and its
-// own sample log of metric observations.
+// and MigrationEngine (scoped so the per-shard timetables partition the
+// whole-datacenter one), and its own metric observations. Every control
+// tick is the same per-cluster step: polluter pass, then consolidation,
+// each handed to the engine or applied at once.
+//
+// The shard count decides how rows are pulled and how observations reach
+// the single MetricsCollector:
+//
+//  * One shard — rows are pumped lazily: before each event, every row
+//    arriving no later than the queue's next event is scheduled, so the
+//    queue holds only the trace's active window and a plain replay needs
+//    no horizon hint. Observations stream straight into the collector.
+//  * S > 1 — execution alternates parallel windows with serial barriers:
+//    the horizon is cut into `barriers` windows; each window's arrivals
+//    are demuxed serially to their shards, then every shard runs
+//    independently (EventQueue::run_until); at each barrier the per-shard
+//    sample logs are merged and dropped (bounding memory), every cluster's
+//    placement-index dirty log is replayed in one batch
+//    (VCluster::flush_index), and — when the debug-audit flag is set — the
+//    full datacenter audit runs. After the last window each shard drains
+//    its queue completely (fault repairs and retries may fire past the
+//    horizon).
 //
 // Determinism comes from two disciplines, both inherited from
 // sim/parallel.hpp rather than invented here:
@@ -23,19 +44,6 @@
 //    stream feeds the collector the exact global aggregates, so the
 //    floating-point sequence — and hence every RunResult field — is
 //    bit-identical at every thread count.
-//
-// Execution alternates parallel windows with serial barriers: the horizon
-// is cut into `barriers` windows; within a window every shard runs
-// independently (EventQueue::run_until); at each barrier the sample logs
-// are merged and dropped (bounding memory), every cluster's placement-index
-// dirty log is replayed in one batch (VCluster::flush_index), and — when
-// the debug-audit flag is set — the full datacenter audit runs. After the
-// last window each shard drains its queue completely (fault repairs and
-// retries may fire past the horizon).
-//
-// With shards == 1 and the same Datacenter, replay_sharded is structurally
-// the serial replay(): same event schedule, same observation tuples, same
-// collector call sequence — proven bit-identical by tests/sim_shard_test.cpp.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +59,8 @@
 
 namespace slackvm::sim {
 
-/// Knobs of a sharded replay. The defaults run the serial reference (one
-/// shard, inline on the calling thread).
+/// Knobs of the replay loop. The defaults run one shard, inline on the
+/// calling thread — exactly replay().
 struct ShardOptions {
   /// Shard count: clusters are dealt round-robin across shards. May exceed
   /// the cluster count (excess shards simply own nothing).
@@ -61,15 +69,21 @@ struct ShardOptions {
   /// inline serial, 0 = all hardware threads). Results are bit-identical at
   /// every value; only wall-clock time changes.
   std::size_t threads = 1;
-  /// Barrier windows the horizon is cut into (>= 1). More barriers bound
-  /// sample-log memory tighter and refresh placement indexes more often;
-  /// fewer maximize the parallel stretches. Results are identical either
-  /// way — barriers only batch work, they never reorder it.
+  /// Barrier windows the horizon is cut into (>= 1) when shards > 1. More
+  /// barriers bound sample-log memory tighter and refresh placement indexes
+  /// more often; fewer maximize the parallel stretches. Results are
+  /// identical either way — barriers only batch work, they never reorder
+  /// it. One shard pumps lazily and has no barriers.
   std::size_t barriers = 8;
-  /// Periodic consolidation, as in replay().
+  /// Periodic consolidation (sim/replay.hpp).
   std::optional<RebalanceOptions> rebalance;
-  /// Fault injection, as in replay(); each shard owns the timetable events
-  /// that target its clusters.
+  /// Effective-usage samples at the monitor's interval throughout the run.
+  /// Samples read the whole datacenter, so this needs shards == 1 (the
+  /// call throws otherwise).
+  UsageMonitor* usage_monitor = nullptr;
+  /// Fault injection (sim/fault.hpp); each shard owns the timetable events
+  /// that target its clusters. Pass the config through resolve_fault_seed
+  /// first when its seed should follow the workload seed.
   const FaultConfig* faults = nullptr;
   /// Stall watchdog over every barrier wait (sim/parallel.hpp): when a
   /// window makes no progress for this long, per-shard progress (clusters
@@ -102,16 +116,16 @@ struct ShardSample {
 
 /// Drain `source` (sim/event_source.hpp) against `dc` (which must be
 /// fresh) with the clusters sharded per `options`. Rows are pulled
-/// incrementally: at each barrier the serial demux routes every row
-/// arriving before the next window's deadline to the shard owning its
-/// routed cluster (Datacenter::route — the same pure function the
-/// materialized path uses), in row order, on the workload lane; the final
-/// window drains the source completely. Resident memory is therefore
-/// O(active window + one window's arrivals), never O(trace). The source
-/// must provide a horizon hint (barrier windows and the fault timetable
-/// need it up-front) — pre-scan streaming files with TraceReader::scan, or
-/// materialize. Deterministic and bit-identical to replay() when
-/// options.shards == 1; bit-identical across options.threads always.
+/// incrementally and routed to the shard owning their routed cluster
+/// (Datacenter::route), in row order, on the workload lane — lazily at one
+/// shard, a window at a time at S > 1 — so resident memory is O(active
+/// window), never O(trace). The horizon hint is required when shards > 1
+/// (barrier windows) and whenever rebalance, usage or fault schedules are
+/// set (they are laid out before the first event fires); the call throws
+/// without it — pre-scan streaming files with TraceReader::scan, or
+/// materialize. Deterministic, and bit-identical across options.threads.
+/// While the debug-audit flag is set (sim/audit.hpp), every event is
+/// followed by an invariant audit that throws on the first violation.
 [[nodiscard]] RunResult replay_sharded(Datacenter& dc, EventSource& source,
                                        const ShardOptions& options = {});
 

@@ -675,12 +675,6 @@ TEST(InterferenceAcceptance, BitIdenticalAcrossShardsIndexThreads) {
       EXPECT_EQ(reference.itf_requested, 0U);
     }
     EXPECT_TRUE(audit(reference_dc).empty());
-    {
-      // The serial replay() on the same organisation is the ground truth.
-      Datacenter legacy_dc = make_dc(true);
-      const RunResult legacy = sim::replay(legacy_dc, trace, reb);
-      expect_identical(reference, legacy);
-    }
     for (const std::size_t shards :
          {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       for (const bool index : {true, false}) {

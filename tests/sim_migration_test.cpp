@@ -631,8 +631,7 @@ TEST(MigrationAcceptance, HundredFailuresBitIdenticalAcrossShardsIndexThreads) {
     return dc;
   };
 
-  // Reference: the sharded engine run serially on one shard — itself pinned
-  // against the legacy replay() on the same datacenter organisation.
+  // Reference: the replay loop run on one shard.
   ShardOptions options;
   options.rebalance = reb;
   options.faults = &faults;
@@ -643,11 +642,6 @@ TEST(MigrationAcceptance, HundredFailuresBitIdenticalAcrossShardsIndexThreads) {
   ASSERT_GT(reference.mig_committed, 0U);
   expect_counter_identity(reference);
   EXPECT_TRUE(audit(reference_dc).empty());
-  {
-    Datacenter legacy_dc = make_dc(true);
-    const RunResult legacy = replay(legacy_dc, trace, reb, nullptr, &faults);
-    expect_identical(reference, legacy);
-  }
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     for (const bool index : {true, false}) {

@@ -1,6 +1,5 @@
-// Differential shard test suite: the sharded datacenter engine
-// (sim/shard.hpp) must be bit-identical to itself at every thread count and
-// — at one shard — to the serial replay() reference, across the full
+// Differential shard test suite: the replay loop (sim/shard.hpp) must be
+// bit-identical to itself at every thread count, across the full
 // {shards} x {index on/off} x {faults on/off} matrix, with the invariant
 // audits enabled so every event re-validates the datacenter and its SoA
 // arena mirror. Also pins the documented cross-shard merge order.
@@ -11,11 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "core/error.hpp"
 #include "sched/policy.hpp"
 #include "sim/audit.hpp"
 #include "sim/experiment.hpp"
 #include "sim/fault.hpp"
 #include "sim/replay.hpp"
+#include "sim/usage_monitor.hpp"
 #include "workload/catalog.hpp"
 #include "workload/generator.hpp"
 #include "workload/level_mix.hpp"
@@ -128,45 +129,28 @@ TEST(ShardDifferential, ShardedMatchesItselfAtEveryThreadCount) {
   }
 }
 
-// One shard is the serial reference: replay_sharded must be bit-identical
-// to the legacy replay() on the identical datacenter — same event schedule,
-// same observation tuples, same collector call sequence.
-TEST(ShardDifferential, OneShardMatchesLegacyReplay) {
-  ScopedDebugAudit audit_every_event;
-  const workload::Trace trace = make_trace(120, 7);
-  const FaultConfig faults = make_faults();
-  for (const bool index : {true, false}) {
-    for (const bool inject : {false, true}) {
-      for (const bool shared : {true, false}) {
-        Datacenter legacy_dc =
-            shared ? Datacenter::shared(kWorker, sched::make_progress_policy)
-                   : Datacenter::dedicated(
-                         kWorker,
-                         {core::OversubLevel{1}, core::OversubLevel{2},
-                          core::OversubLevel{3}, core::OversubLevel{4}},
-                         sched::make_progress_policy);
-        legacy_dc.set_index_enabled(index);
-        const RunResult legacy = replay(legacy_dc, trace, std::nullopt, nullptr,
-                                        inject ? &faults : nullptr);
-
-        Datacenter sharded_dc =
-            shared ? Datacenter::shared_sharded(kWorker, sched::make_progress_policy,
-                                                1)
-                   : Datacenter::dedicated(
-                         kWorker,
-                         {core::OversubLevel{1}, core::OversubLevel{2},
-                          core::OversubLevel{3}, core::OversubLevel{4}},
-                         sched::make_progress_policy);
-        sharded_dc.set_index_enabled(index);
-        ShardOptions options;  // shards = 1
-        options.faults = inject ? &faults : nullptr;
-        const RunResult sharded = replay_sharded(sharded_dc, trace, options);
-        SCOPED_TRACE(std::string(shared ? "shared" : "dedicated") + " index " +
-                     std::to_string(index) + " faults " + std::to_string(inject));
-        expect_identical(legacy, sharded);
-      }
-    }
+// Usage samples read the whole datacenter, so only one shard may take
+// them: a monitor with S > 1 is refused up-front, while S == 1 samples.
+TEST(ShardDifferential, UsageMonitorNeedsOneShard) {
+  const workload::Trace trace = make_trace(40, 3);
+  UsageMonitor monitor(3600.0);
+  ShardOptions options;
+  options.usage_monitor = &monitor;
+  options.shards = 2;
+  Datacenter sharded_dc = make_dc(2, true);
+  try {
+    (void)replay_sharded(sharded_dc, trace, options);
+    FAIL() << "expected SlackError";
+  } catch (const core::SlackError& e) {
+    EXPECT_NE(std::string(e.what()).find("usage sampling"), std::string::npos)
+        << e.what();
   }
+  EXPECT_EQ(monitor.report().samples, 0U);
+
+  options.shards = 1;
+  Datacenter dc = make_dc(1, true);
+  (void)replay_sharded(dc, trace, options);
+  EXPECT_GT(monitor.report().samples, 0U);
 }
 
 // Rebalancing flows through the sharded engine too, and stays identical

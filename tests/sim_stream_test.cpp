@@ -149,9 +149,12 @@ TEST(StreamDifferential, StreamingMatchesMaterializedAcrossShardMatrix) {
   std::remove(path.c_str());
 }
 
-// A plain serial replay needs no hints at all: a hintless streaming source
-// (no scan pre-pass) must still be bit-identical to the materialized path,
-// with the run duration converging to the horizon through observation.
+// A plain one-shard replay needs no hints at all: a hintless streaming
+// source (no scan pre-pass) must still be bit-identical to the
+// materialized path, with the run duration converging to the horizon
+// through observation — through replay() and through replay_sharded at
+// one shard on any thread count (S > 1 still refuses a hintless source,
+// see HintlessSourcesThrowWhereHorizonIsRequired).
 TEST(StreamDifferential, SerialStreamingWithoutHintsMatchesMaterialized) {
   ScopedDebugAudit audit_every_event;
   const workload::Trace trace = make_trace(100, 7);
@@ -167,6 +170,16 @@ TEST(StreamDifferential, SerialStreamingWithoutHintsMatchesMaterialized) {
         StreamingTraceSource::open(path, {}, /*pre_scan=*/false);
     EXPECT_FALSE(source.horizon_hint().has_value());
     expect_identical(reference, replay(dc, source));
+
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE("replay_sharded, threads " + std::to_string(threads));
+      Datacenter sharded_dc = make_dc(1, index);
+      StreamingTraceSource sharded_source =
+          StreamingTraceSource::open(path, {}, /*pre_scan=*/false);
+      ShardOptions options;
+      options.threads = threads;
+      expect_identical(reference, replay_sharded(sharded_dc, sharded_source, options));
+    }
   }
   std::remove(path.c_str());
 }

@@ -77,9 +77,9 @@ int usage() {
                "                            cores; results identical at any value)\n"
                "         --index on|off    (incremental placement index; results\n"
                "                            identical, off replays the naive scan)\n"
-               "         --shards N        (sharded datacenter engine; 1 = serial\n"
-               "                            reference, > 1 runs shards on the thread\n"
-               "                            pool; replay uses --parallelism threads)\n"
+               "         --shards N        (clusters dealt across N shards; > 1 runs\n"
+               "                            shards on the thread pool; replay uses\n"
+               "                            --parallelism threads)\n"
                "         --stream on|off   (replay: pull the trace through the\n"
                "                            streaming TraceReader [default] or\n"
                "                            materialize it first; bit-identical)\n"
@@ -149,9 +149,13 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (key == "--parallelism") {
       args.parallelism = std::strtoull(value(), nullptr, 10);
     } else if (key == "--shards") {
-      args.shards = std::strtoull(value(), nullptr, 10);
+      // Digits only: strtoull would wrap "-1" to 2^64 - 1 shards.
+      const std::string v = value();
+      args.shards = v.find_first_not_of("0123456789") == std::string::npos
+                        ? std::strtoull(v.c_str(), nullptr, 10)
+                        : 0;
       if (args.shards == 0) {
-        throw core::SlackError("--shards must be >= 1");
+        throw core::SlackError("--shards must be an integer >= 1");
       }
     } else if (key == "--index") {
       const std::string v = value();
@@ -208,7 +212,12 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (key == "--mig-backoff-s") {
       args.migration.backoff_base = std::strtod(value(), nullptr);
     } else if (key == "--watchdog-s") {
+      // Converted to whole milliseconds later: a negative, NaN or huge value
+      // would make that conversion undefined.
       args.watchdog_s = std::strtod(value(), nullptr);
+      if (!(args.watchdog_s >= 0 && args.watchdog_s <= 1e9)) {
+        throw core::SlackError("--watchdog-s must be in [0, 1e9]");
+      }
     } else if (key == "--interference") {
       const std::string v = value();
       if (v == "on") {
@@ -367,11 +376,8 @@ int cmd_replay(const Args& args) {
                                        {core::OversubLevel{1}, core::OversubLevel{2},
                                         core::OversubLevel{3}},
                                        policy_factory(args), args.mem_oversub)
-          : (args.shards > 1
-                 ? sim::Datacenter::shared_sharded(worker, policy_factory(args),
-                                                   args.shards, args.mem_oversub)
-                 : sim::Datacenter::shared(worker, policy_factory(args),
-                                           args.mem_oversub));
+          : sim::Datacenter::shared_sharded(worker, policy_factory(args), args.shards,
+                                            args.mem_oversub);
   dc.set_index_enabled(args.use_index);
   std::optional<sim::RebalanceOptions> rebalance;
   if (args.rebalance_s > 0) {
@@ -404,19 +410,13 @@ int cmd_replay(const Args& args) {
     source = std::make_unique<sim::MaterializedSource>(trace);
   }
 
-  sim::RunResult result;
-  if (args.shards > 1) {
-    sim::ShardOptions shard_options;
-    shard_options.shards = args.shards;
-    shard_options.threads = args.parallelism;
-    shard_options.rebalance = rebalance;
-    shard_options.faults = fault_ptr;
-    shard_options.watchdog_ms =
-        static_cast<std::size_t>(args.watchdog_s * 1000.0);
-    result = sim::replay_sharded(dc, *source, shard_options);
-  } else {
-    result = sim::replay(dc, *source, rebalance, nullptr, fault_ptr);
-  }
+  sim::ShardOptions shard_options;
+  shard_options.shards = args.shards;
+  shard_options.threads = args.parallelism;
+  shard_options.rebalance = rebalance;
+  shard_options.faults = fault_ptr;
+  shard_options.watchdog_ms = static_cast<std::size_t>(args.watchdog_s * 1000.0);
+  const sim::RunResult result = sim::replay_sharded(dc, *source, shard_options);
   std::printf("mode %s, policy %s, mem oversub %.2fx, shards %zu, %s trace\n",
               args.mode.c_str(), args.policy.c_str(), args.mem_oversub, args.shards,
               args.stream ? "streamed" : "materialized");
