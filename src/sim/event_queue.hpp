@@ -21,13 +21,37 @@
 // across queues to the lowest shard index, within a queue in fire order
 // (shard_merge_order). Regression-tested in tests/sim_event_queue_test.cpp
 // and tests/sim_shard_test.cpp.
+//
+// Storage. Scheduling an event allocates nothing once the queue is warm:
+//  * The action is an EventAction: a move-only `void(SimTime)` callable
+//    that stores any nothrow-movable callable of up to kInlineBytes (64)
+//    in place, with one static call/relocate/destroy table per callable
+//    type. A larger (or throwing-move) callable still works, at the price
+//    of one heap allocation (the fallback; heap_fallbacks() counts them).
+//    Every closure the replay, the fault injector and the migration engine
+//    schedule fits inline (pinned by tests/sim_event_queue_test.cpp).
+//  * Actions live in a slab of fixed-size chunks (64 slots each)
+//    with a LIFO free list of slot indices. Chunks never move, so an
+//    action runs in place and its slot is recycled only after it returns
+//    (or throws): re-entrant schedule() calls from inside an action are
+//    safe.
+//  * A 4-ary min-heap orders 24-byte POD keys {time, lane << 56 | seq,
+//    slot}; sifting moves keys only, never actions. NaN times are refused
+//    (they would break the comparator's total order); +inf is a valid time
+//    that fires after every finite one.
+// The full argument, including two slab layouts that cost more memory, is
+// in DESIGN.md §5 "Event queue".
 #pragma once
 
 #include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
+#include <cstring>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
@@ -36,7 +60,141 @@
 namespace slackvm::sim {
 
 /// Callback invoked when an event fires; receives the simulation time.
-using EventAction = std::function<void(core::SimTime)>;
+/// Move-only; converts implicitly from any `void(SimTime)` callable.
+class EventAction {
+ public:
+  /// Callables up to this size (and alignment, and with a noexcept move)
+  /// are stored in place; anything else takes one heap allocation.
+  static constexpr std::size_t kInlineBytes = 64;
+  static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
+
+  /// True when a callable of type F is stored without a heap allocation.
+  template <class F>
+  [[nodiscard]] static constexpr bool stores_inline() noexcept {
+    using D = std::decay_t<F>;
+    return sizeof(D) <= kInlineBytes && alignof(D) <= kInlineAlign &&
+           std::is_nothrow_move_constructible_v<D>;
+  }
+
+  /// Callables constructed through the heap fallback so far, process-wide.
+  [[nodiscard]] static std::uint64_t heap_fallbacks() noexcept {
+    return heap_fallbacks_.load(std::memory_order_relaxed);
+  }
+
+  // Not `= default`, under which value-initialization would zero the
+  // buffer: it stays untouched until a callable is stored, so a fresh slab
+  // chunk costs no page writes.
+  EventAction() noexcept {}
+
+  template <class F>
+    requires(!std::is_same_v<std::decay_t<F>, EventAction> &&
+             std::is_invocable_r_v<void, std::decay_t<F>&, core::SimTime>)
+  EventAction(F&& f) {  // implicit, so lambdas convert at every call site
+    using D = std::decay_t<F>;
+    if constexpr (stores_inline<D>()) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      zero_tail<sizeof(D)>();
+      ops_ = &kInlineOps<D>;
+    } else {
+      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
+      zero_tail<sizeof(D*)>();
+      ops_ = &kHeapOps<D>;
+      heap_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  EventAction(EventAction&& other) noexcept { take(other); }
+  EventAction& operator=(EventAction&& other) noexcept {
+    if (this != &other) {
+      reset();
+      take(other);
+    }
+    return *this;
+  }
+  EventAction(const EventAction&) = delete;
+  EventAction& operator=(const EventAction&) = delete;
+  ~EventAction() { reset(); }
+
+  /// Invoke the stored callable; the action must not be empty.
+  void operator()(core::SimTime t) { ops_->call(buf_, t); }
+
+  [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
+
+  /// Destroy the stored callable (if any), leaving the action empty.
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      if (ops_->destroy != nullptr) {
+        ops_->destroy(buf_);
+      }
+      ops_ = nullptr;
+    }
+  }
+
+ private:
+  struct Ops {
+    void (*call)(void* self, core::SimTime t);
+    /// Move-construct `dst` from `src`, then destroy `src`; null when the
+    /// buffer's bytes can simply be copied.
+    void (*relocate)(void* dst, void* src) noexcept;
+    /// Null when destruction is a no-op.
+    void (*destroy)(void* self) noexcept;
+  };
+
+  template <class D>
+  static D& inline_ref(void* self) noexcept {
+    return *std::launder(static_cast<D*>(self));
+  }
+  template <class D>
+  static D*& heap_ref(void* self) noexcept {
+    return *std::launder(static_cast<D**>(self));
+  }
+
+  template <class D>
+  static constexpr Ops kInlineOps{
+      [](void* self, core::SimTime t) { inline_ref<D>(self)(t); },
+      std::is_trivially_copyable_v<D>
+          ? nullptr
+          : +[](void* dst, void* src) noexcept {
+              ::new (dst) D(std::move(inline_ref<D>(src)));
+              inline_ref<D>(src).~D();
+            },
+      std::is_trivially_destructible_v<D>
+          ? nullptr
+          : +[](void* self) noexcept { inline_ref<D>(self).~D(); }};
+
+  // The buffer holds a plain owning pointer, which relocates bytewise.
+  template <class D>
+  static constexpr Ops kHeapOps{
+      [](void* self, core::SimTime t) { (*heap_ref<D>(self))(t); }, nullptr,
+      [](void* self) noexcept { delete heap_ref<D>(self); }};
+
+  // Bytewise relocation copies the whole buffer; the bytes past the
+  // callable are zeroed so that copy never reads indeterminate values.
+  template <std::size_t Used>
+  void zero_tail() noexcept {
+    if constexpr (Used < kInlineBytes) {
+      std::memset(buf_ + Used, 0, kInlineBytes - Used);
+    }
+  }
+
+  void take(EventAction& other) noexcept {
+    ops_ = other.ops_;
+    if (ops_ == nullptr) {
+      return;
+    }
+    if (ops_->relocate != nullptr) {
+      ops_->relocate(buf_, other.buf_);
+    } else {
+      std::memcpy(buf_, other.buf_, kInlineBytes);
+    }
+    other.ops_ = nullptr;
+  }
+
+  static inline std::atomic<std::uint64_t> heap_fallbacks_{0};
+
+  alignas(kInlineAlign) unsigned char buf_[kInlineBytes];
+  const Ops* ops_ = nullptr;
+};
 
 class EventQueue {
  public:
@@ -47,8 +205,8 @@ class EventQueue {
   /// timetables and their dynamically scheduled repairs/retries.
   static constexpr std::uint8_t kLaneControl = 1;
 
-  /// Schedule `action` at absolute time `time` (>= now()) on the control
-  /// lane.
+  /// Schedule `action` at absolute time `time` (>= now(), not NaN) on the
+  /// control lane.
   void schedule(core::SimTime time, EventAction action) {
     schedule_lane(time, kLaneControl, std::move(action));
   }
@@ -56,7 +214,9 @@ class EventQueue {
   /// Schedule on an explicit lane (see the lane constants above).
   void schedule_lane(core::SimTime time, std::uint8_t lane, EventAction action);
 
-  /// Fire the earliest event; returns false when the queue is empty.
+  /// Fire the earliest event; returns false when the queue is empty. An
+  /// exception thrown by the action propagates after the event is removed
+  /// and its slot released.
   bool step();
 
   /// Fire everything until the queue drains.
@@ -73,7 +233,7 @@ class EventQueue {
   /// Timestamp of the earliest pending event; the queue must not be empty.
   [[nodiscard]] core::SimTime next_time() const {
     SLACKVM_ASSERT(!heap_.empty());
-    return heap_.top().time;
+    return heap_.front().time;
   }
 
   // --- cross-thread progress probes (the stall watchdog reads these from
@@ -92,25 +252,34 @@ class EventQueue {
   }
 
  private:
-  struct Entry {
+  /// Heap key: `order` packs the lane above a 56-bit insertion sequence,
+  /// so (time, order) is exactly the (time, lane, insertion) contract.
+  struct Key {
     core::SimTime time;
-    std::uint8_t lane;
-    std::uint64_t seq;
-    EventAction action;
+    std::uint64_t order;
+    std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.time != b.time) {
-        return a.time > b.time;
-      }
-      if (a.lane != b.lane) {
-        return a.lane > b.lane;
-      }
-      return a.seq > b.seq;
-    }
+  static constexpr std::size_t kChunkSlots = 64;
+  struct Chunk {
+    EventAction slots[kChunkSlots];
   };
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  static bool before(const Key& a, const Key& b) noexcept {
+    return a.time < b.time || (a.time == b.time && a.order < b.order);
+  }
+
+  EventAction& slot(std::uint32_t s) noexcept {
+    return chunks_[s / kChunkSlots]->slots[s % kChunkSlots];
+  }
+  std::uint32_t acquire_slot();
+  void release_slot(std::uint32_t s);
+  void push(const Key& key);
+  void pop_front() noexcept;
+
+  std::vector<Key> heap_;  ///< 4-ary min-heap under before()
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::vector<std::uint32_t> free_;  ///< released slots, reused last-in first-out
+  std::uint32_t fresh_ = 0;  ///< slots handed out at least once
   core::SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   // The atomics make EventQueue immovable; every owner holds it in place

@@ -268,20 +268,22 @@ RunResult replay_sharded(Datacenter& dc, EventSource& source,
   // so within a shard the lane-0 insertion order — and hence every time
   // tie — is the same however the rows are batched; the workload lane keeps
   // rows inserted mid-run winning time ties against control events
-  // scheduled up-front. The row is captured by value (the source's buffers
-  // are recycled long before the events fire).
+  // scheduled up-front. The row's id and spec are captured by value (the
+  // source's buffers are recycled long before the events fire); both
+  // closures stay within EventAction's inline buffer.
   const auto route_row = [&dc, &shards, shard_count](const core::VmInstance& vm) {
     const std::size_t cluster = dc.route(vm.id, vm.spec);
     ShardState& shard = shards[cluster % shard_count];
     shard.queue.schedule_lane(
-        vm.arrival, EventQueue::kLaneWorkload, [&dc, &shard, vm](core::SimTime t) {
+        vm.arrival, EventQueue::kLaneWorkload,
+        [&dc, &shard, id = vm.id, spec = vm.spec](core::SimTime t) {
           if (shard.injector.has_value()) {
             // Under fault injection capacity can be transiently exhausted;
             // arrivals defer into the retry/degraded machinery instead of
             // aborting the run.
-            shard.injector->deploy_or_defer(vm.id, vm.spec, t);
+            shard.injector->deploy_or_defer(id, spec, t);
           } else {
-            dc.deploy(vm.id, vm.spec);
+            dc.deploy(id, spec);
             ++shard.partial.placed_vms;
           }
           shard.observe(t);

@@ -1,4 +1,5 @@
-// Allocation regression test for the deploy/remove path.
+// Allocation regression tests for the deploy/remove path and the replay
+// loop.
 //
 // This binary replaces the global operator new with a counting one, so it
 // is its own executable: the count covers everything the process allocates
@@ -8,6 +9,11 @@
 // allocations per call. The few left come from the odd PM the second pass
 // opens: the empty PMs the warm-up left behind change which hosts the
 // progress score prefers.
+//
+// One level up, a whole one-shard replay of a 20k-row trace must allocate
+// a bounded number of times that does not grow with the row count: the
+// event queue keeps its actions inline in slab slots, so an event costs no
+// allocation, and what is left is container growth and per-PM setup.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +25,9 @@
 #include "core/rng.hpp"
 #include "sched/policy.hpp"
 #include "sim/datacenter.hpp"
+#include "sim/event_source.hpp"
+#include "sim/replay.hpp"
+#include "workload/trace.hpp"
 
 namespace {
 
@@ -34,12 +43,20 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
+// The nothrow form too (std::stable_sort's temporary buffer uses it): every
+// form that reaches the replaced delete must come from malloc.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
 // The replacement pairs malloc with free by construction; GCC cannot see
 // that once the standard allocators are inlined into this file.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 #pragma GCC diagnostic pop
 
 namespace slackvm::sim {
@@ -121,6 +138,55 @@ TEST(DeployRemoveAllocations, CounterSeesHeapAllocations) {
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   ::operator delete(p);
   EXPECT_EQ(after - before, 1U);
+}
+
+/// `rows` VMs with the churn shapes above, one arrival per second; each
+/// lives 1 .. 2047 s, so the live population hovers around ~1k whatever
+/// the row count.
+workload::Trace make_trace(std::size_t rows) {
+  std::vector<core::VmInstance> vms;
+  vms.reserve(rows);
+  core::SplitMix64 rng(4242);
+  const core::VcpuCount vcpus[] = {1, 2, 4, 8, 16};
+  for (std::size_t row = 0; row < rows; ++row) {
+    core::VmInstance vm;
+    vm.id = core::VmId{row + 1};
+    vm.spec.vcpus = vcpus[rng.below(5)];
+    vm.spec.mem_mib = gib(static_cast<core::MemMib>(vm.spec.vcpus) *
+                          static_cast<core::MemMib>(1 + rng.below(4)));
+    vm.spec.level = core::OversubLevel{static_cast<std::uint8_t>(1 + rng.below(3))};
+    vm.arrival = static_cast<core::SimTime>(row);
+    vm.departure = vm.arrival + 1.0 + static_cast<core::SimTime>(rng.below(2047));
+    vms.push_back(vm);
+  }
+  return workload::Trace(std::move(vms));
+}
+
+/// Allocations made by one one-shard replay of `trace` on a fresh shared
+/// datacenter (its construction not counted).
+std::uint64_t replay_allocations(const workload::Trace& trace) {
+  Datacenter dc = Datacenter::shared({32, gib(128)}, sched::make_progress_policy);
+  MaterializedSource source(trace);
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const RunResult result = replay(dc, source);
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(result.placed_vms, trace.size());
+  return allocations;
+}
+
+TEST(ReplayAllocations, OneShardReplayAllocationsDoNotGrowWithRows) {
+  const workload::Trace small = make_trace(20000);
+  const workload::Trace large = make_trace(40000);
+  static_cast<void>(replay_allocations(small));  // warm-up: first-use costs
+  const std::uint64_t at_20k = replay_allocations(small);
+  const std::uint64_t at_40k = replay_allocations(large);
+  // 40k events at 20k rows: an allocation per event would be 40k. What is
+  // left is per-PM setup (~13 per opened PM; the trace opens ~165) and
+  // container growth (logarithmic in the pending count), so doubling the
+  // rows at the same live population adds only the few PMs it opens.
+  EXPECT_LE(at_20k, 3000U) << "allocations over 40000 replay events";
+  EXPECT_LE(at_40k, at_20k + 200) << at_20k << " allocations at 20k rows";
 }
 
 }  // namespace
