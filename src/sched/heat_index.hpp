@@ -22,7 +22,7 @@
 //  3. dirty ids >= hosts.size() are rolled-back openings and are dropped,
 //     exactly like PlacementIndex::sync.
 //
-// The index is owned by VCluster behind the same --index escape hatch as
+// The index is owned by VCluster behind the same set_index_enabled hook as
 // the placement index: disabling it restores the verbatim naive
 // plan_interference scan, which is what keeps the incremental path
 // differentially tested by the index {on,off} acceptance matrix.

@@ -30,7 +30,7 @@ Rebalancer::Rebalancer(std::unique_ptr<Scorer> scorer) : scorer_(std::move(score
 MigrationPlan Rebalancer::plan(const VCluster& cluster,
                                std::size_t max_migrations) const {
   // The incremental path needs columnar scores; a scorer that cannot provide
-  // them (or the --index=off escape hatch) falls back to the verbatim naive
+  // them (or a cluster with its index switched off) falls back to the verbatim naive
   // pass, keeping both differentially comparable.
   if (cluster.index_enabled() && scorer_->supports_cols()) {
     return plan_incremental(cluster, max_migrations);
@@ -116,7 +116,7 @@ MigrationPlan Rebalancer::plan_interference(const VCluster& cluster,
   if (!options.enabled) {
     return MigrationPlan{};
   }
-  // The cluster's heat index carries the --index escape hatch: nullptr
+  // The cluster's heat index follows set_index_enabled: nullptr
   // means the verbatim naive scan must run. Mixed quantization widths void
   // the cross-bucket ordering the incremental scans rely on.
   const HeatIndex* index = cluster.synced_heat_index();

@@ -88,7 +88,8 @@ class Rebalancer {
                                    std::size_t max_migrations) const;
 
   /// The original O(fleet-copy) pass, kept verbatim as the differential
-  /// reference for plan() (the --index=off escape hatch also lands here).
+  /// reference for plan() (a cluster whose index machinery is switched off
+  /// through the set_index_enabled test hook also lands here).
   [[nodiscard]] MigrationPlan plan_naive(const VCluster& cluster,
                                          std::size_t max_migrations) const;
 

@@ -59,8 +59,9 @@ class VCluster {
   /// Incremental candidate index (placement_index.hpp), on by default:
   /// try_place consults it instead of the naive O(hosts) policy scan, with
   /// provably identical selection (differential-tested). Disabling it is
-  /// the --index=off escape hatch that preserves the exact pre-index code
-  /// path; re-enabling rebuilds the index from live state.
+  /// the test and bench hook that runs the exact pre-index code path the
+  /// differentials compare against; re-enabling rebuilds the index from
+  /// live state.
   void set_index_enabled(bool enabled) {
     index_enabled_ = enabled;
     if (!enabled) {
@@ -201,7 +202,7 @@ class VCluster {
 
   /// The quantized-heat bucket index serving plan_interference, its dirty
   /// log replayed, or nullptr while the index machinery is disabled
-  /// (--index=off escape hatch: the rebalancer then falls back to the
+  /// (set_index_enabled(false): the rebalancer then falls back to the
   /// verbatim naive scans). Created lazily on first use, like the
   /// placement index; logically const (the member is a mutable cache).
   [[nodiscard]] const HeatIndex* synced_heat_index() const;

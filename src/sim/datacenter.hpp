@@ -80,9 +80,9 @@ class Datacenter {
   /// the cap applies per level cluster.
   void set_max_hosts_per_cluster(std::size_t max_hosts);
 
-  /// Toggle every cluster's incremental placement index (the --index=on|off
-  /// experiment knob). Selection is identical either way; off preserves the
-  /// exact naive-scan code path.
+  /// Toggle every cluster's incremental placement index: a test and bench
+  /// hook (ExperimentConfig::use_index), not a scenario knob. Selection is
+  /// identical either way; off preserves the exact naive-scan code path.
   void set_index_enabled(bool enabled);
 
   /// Pre-size per-cluster containers for an expected number of VM

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 
+#include "core/error.hpp"
 #include "core/oversub.hpp"
 #include "sched/policy.hpp"
 #include "sim/event_source.hpp"
@@ -86,14 +87,7 @@ CellResult run_cell(const workload::Catalog& catalog, const workload::LevelMix& 
   // Same story for the rebalance loop: both organisations consolidate on
   // the same cadence with the same migration semantics (instant or
   // time-extended flights).
-  std::optional<RebalanceOptions> rebalance;
-  if (config.rebalance_interval > 0) {
-    rebalance.emplace();
-    rebalance->interval = config.rebalance_interval;
-    rebalance->budget_per_pass = config.rebalance_budget;
-    rebalance->migration = config.migration;
-    rebalance->interference = config.interference;
-  }
+  const std::optional<RebalanceOptions> rebalance = rebalance_options(config);
 
   // With interference armed the shared organisation also scores placements
   // heat-aware; the dedicated baseline keeps First-Fit (it has no scoring
@@ -340,8 +334,20 @@ std::vector<PackingComparison> run_distribution_sweep(const workload::Catalog& c
   return out;
 }
 
+std::optional<RebalanceOptions> rebalance_options(const ExperimentConfig& config) {
+  if (!(config.rebalance_interval > 0)) {
+    return std::nullopt;
+  }
+  return RebalanceOptions{config.rebalance_interval, config.rebalance_budget,
+                          config.migration, config.interference};
+}
+
 std::vector<HeatmapCell> run_savings_heatmap(const workload::Catalog& catalog,
                                              const ExperimentConfig& config) {
+  if (!config.trace_path.empty()) {
+    SLACKVM_THROW("heatmap: a trace file fixes the level mix the heatmap varies, "
+                  "so every cell would replay the same workload");
+  }
   std::vector<HeatmapCell> cells;
   for (const PackingComparison& cmp : run_distribution_sweep(catalog, config)) {
     const workload::LevelMix& mix = workload::distribution(cmp.distribution[0]);

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "sim/fault.hpp"
 #include "sim/metrics.hpp"
 #include "sim/migration.hpp"
+#include "sim/replay.hpp"
 #include "workload/catalog.hpp"
 #include "workload/generator.hpp"
 #include "workload/level_mix.hpp"
@@ -45,9 +47,9 @@ struct ExperimentConfig {
   std::size_t shards = 1;
   /// Consult the incremental placement index (sched/placement_index.hpp)
   /// during replays. Host selection is provably identical either way
-  /// (differential-tested), so like `parallelism` this knob only changes
-  /// wall-clock time; off is the escape hatch that runs the exact naive
-  /// scan (CLI/scenario: --index=on|off).
+  /// (differential-tested), so this only changes wall-clock time. It is a
+  /// test and bench hook, not a knob: off runs the exact naive scan through
+  /// Datacenter::set_index_enabled, which the differentials compare against.
   bool use_index = true;
   /// Fault injection (sim/fault.hpp); disabled by default. A zero fault
   /// seed derives per repetition from the cell's workload seed, so each
@@ -87,6 +89,12 @@ struct ExperimentConfig {
   std::string trace_path;
 };
 
+/// The rebalance schedule `config` asks for: interval, budget, migration and
+/// interference knobs; nullopt when rebalance_interval is 0. Every cell and
+/// `slackvm replay` build their replay's schedule with this.
+[[nodiscard]] std::optional<RebalanceOptions> rebalance_options(
+    const ExperimentConfig& config);
+
 /// One baseline-vs-SlackVM comparison (a Fig. 3 bar pair / Fig. 4 cell).
 struct PackingComparison {
   std::string provider;
@@ -124,7 +132,8 @@ struct HeatmapCell {
 };
 
 /// Fig. 4 protocol: the (share 1:1, share 2:1) grid in 25% steps for one
-/// provider. Cells are rows of the lower-triangular heatmap.
+/// provider. Cells are rows of the lower-triangular heatmap. Throws when
+/// `config.trace_path` is set: a trace fixes the level mix the grid varies.
 [[nodiscard]] std::vector<HeatmapCell> run_savings_heatmap(
     const workload::Catalog& catalog, const ExperimentConfig& config);
 

@@ -27,8 +27,9 @@
 //    the policy path; whatever could not move is evacuated by the failure.
 //
 // Everything is replayed through the EventQueue (ties break by insertion
-// order), so a fault-heavy run is bit-identical across --parallelism
-// settings and --index=on|off — proven by tests/sim_fault_test.cpp.
+// order), so a fault-heavy run is bit-identical across parallelism
+// settings and with the placement index on or off — proven by
+// tests/sim_fault_test.cpp.
 #pragma once
 
 #include <cstdint>

@@ -1,13 +1,21 @@
 #include "sim/scenario.hpp"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cmath>
 #include <istream>
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "core/error.hpp"
 
 namespace slackvm::sim {
+
+static_assert(std::is_same_v<std::size_t, std::uint64_t>,
+              "size_t knobs bind to the table's uint64_t field type");
 
 const workload::Catalog& Scenario::catalog() const {
   return workload::catalog_by_name(provider);
@@ -19,15 +27,305 @@ const workload::LevelMix& Scenario::mix() const {
 
 PackingComparison Scenario::run() const { return compare_packing(catalog(), mix(), config); }
 
+template <class T>
+std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    return std::nullopt;
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) {
+      return std::nullopt;
+    }
+  }
+  return value;
+}
+
+template std::optional<double> parse_number(std::string_view);
+template std::optional<std::uint32_t> parse_number(std::string_view);
+template std::optional<std::uint64_t> parse_number(std::string_view);
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr KnobRange at_least(double min) { return {min, kInf, false, false}; }
+constexpr KnobRange above(double min) { return {min, kInf, true, false}; }
+
+// Integers in base 10, doubles in their shortest round-trip form.
+template <class T>
+std::string number_text(T value) {
+  std::array<char, 32> buffer{};
+  const auto result = std::to_chars(buffer.data(), buffer.data() + buffer.size(), value);
+  return {buffer.data(), result.ptr};
+}
+
+// The accessor of `scenario.path`, as a Knob::Field.
+#define SLACKVM_FIELD(path) [](Scenario& s) -> auto& { return s.path; }
+
+// The knob table: one row per knob, in write order. Rows with no flag are
+// scenario-only. See Knob (scenario.hpp) for the columns.
+const Knob kKnobs[] = {
+    {"name", "", "NAME", SLACKVM_FIELD(name), {}, "label printed with the results"},
+    {"provider", "--provider", "azure|ovhcloud", SLACKVM_FIELD(provider), {},
+     "flavor catalog (Table I)"},
+    {"distribution", "--dist", "A..O", SLACKVM_FIELD(distribution), {'A', 'O'},
+     "oversubscription level mix (Fig. 3)"},
+    {"population", "--population", "N", SLACKVM_FIELD(config.generator.target_population),
+     at_least(1), "steady-state concurrent VMs"},
+    {"seed", "--seed", "N", SLACKVM_FIELD(config.generator.seed), {},
+     "workload seed; repetition r uses seed + r"},
+    {"repetitions", "--reps", "N", SLACKVM_FIELD(config.repetitions), {},
+     "seeded workloads averaged per cell"},
+    {"parallelism", "--parallelism", "N", SLACKVM_FIELD(config.parallelism), {},
+     "worker threads, 0 = all cores (same results)"},
+    {"shards", "--shards", "N", SLACKVM_FIELD(config.shards), at_least(1),
+     "replay shards the clusters are dealt across"},
+    {"mem_oversub", "--mem-oversub", "X", SLACKVM_FIELD(config.mem_oversub), at_least(1),
+     "DRAM oversubscription ratio of every PM"},
+    {"horizon_days", "", "DAYS", SLACKVM_FIELD(config.generator.horizon), above(0),
+     "length of the generated workload", 24 * 3600},
+    {"lifetime_days", "", "DAYS", SLACKVM_FIELD(config.generator.mean_lifetime), above(0),
+     "mean VM lifetime", 24 * 3600},
+    {"diurnal", "", "X", SLACKVM_FIELD(config.generator.diurnal_amplitude),
+     {0, 1, false, true}, "diurnal arrival-rate amplitude"},
+    {"trace", "--trace", "FILE", SLACKVM_FIELD(config.trace_path), {},
+     "replay this CSV instead of generating a workload"},
+    {"host_cores", "", "N", SLACKVM_FIELD(config.host_config.cores), at_least(1),
+     "cores per PM"},
+    {"host_mem_gib", "", "GIB", SLACKVM_FIELD(config.host_config.mem_mib), at_least(1),
+     "DRAM per PM", core::kMibPerGib},
+    {"faults", "--faults", "N", SLACKVM_FIELD(config.faults.count), {},
+     "seed-derived host failures over the run"},
+    {"fault_seed", "--fault-seed", "N", SLACKVM_FIELD(config.faults.seed), {},
+     "fault timetable seed; 0 = derive from the seed"},
+    {"repair_delay_s", "--repair-s", "X", SLACKVM_FIELD(config.faults.repair_delay),
+     at_least(0), "repair delay of a seeded failure (s)"},
+    {"drain_lead_s", "--drain-lead-s", "X", SLACKVM_FIELD(config.faults.drain_lead),
+     at_least(0), "drain ahead of each seeded failure (s)"},
+    {"evac_retries", "", "N", SLACKVM_FIELD(config.faults.max_retries), {},
+     "evacuation retries per victim"},
+    {"evac_backoff_s", "", "X", SLACKVM_FIELD(config.faults.backoff_base), at_least(0),
+     "base of the evacuation retry backoff (s)"},
+    {"rebalance_s", "--rebalance", "X", SLACKVM_FIELD(config.rebalance_interval),
+     at_least(0), "consolidation cadence (s); 0 = off"},
+    {"rebalance_budget", "--rebalance-budget", "N", SLACKVM_FIELD(config.rebalance_budget),
+     {}, "migrations planned per cluster and pass"},
+    {"migration", "--migration", "engine|instant", SLACKVM_FIELD(config.migration.enabled),
+     {}, "time-extended flights, or instant apply"},
+    {"mig_bw_mibps", "--mig-bw", "MIBPS", SLACKVM_FIELD(config.migration.bandwidth_mibps),
+     above(0), "pre-copy bandwidth of a flight"},
+    {"mig_cap", "--mig-cap", "N",
+     SLACKVM_FIELD(config.migration.max_concurrent_per_host), at_least(1),
+     "concurrent flights per host, source or sink"},
+    {"mig_in_flight", "--mig-in-flight", "N", SLACKVM_FIELD(config.migration.max_in_flight),
+     at_least(1), "concurrent flights per cluster"},
+    {"mig_timeout_s", "--mig-timeout-s", "X", SLACKVM_FIELD(config.migration.timeout),
+     at_least(0), "per-flight deadline (s); 0 = none"},
+    {"mig_retries", "--mig-retries", "N", SLACKVM_FIELD(config.migration.max_retries), {},
+     "rollback retries per VM"},
+    {"mig_backoff_s", "--mig-backoff-s", "X", SLACKVM_FIELD(config.migration.backoff_base),
+     at_least(0), "base of the migration retry backoff (s)"},
+    {"interference", "--interference", "on|off",
+     SLACKVM_FIELD(config.interference.enabled), {},
+     "heat EWMA + polluter pass; needs a rebalance cadence"},
+    {"heat_interval_s", "--heat-interval-s", "X",
+     SLACKVM_FIELD(config.interference.heat_interval), above(0),
+     "seconds between heat EWMA refreshes"},
+    {"heat_alpha", "--heat-alpha", "X", SLACKVM_FIELD(config.interference.heat_alpha),
+     {0, 1, true, false}, "heat EWMA smoothing factor"},
+    {"heat_bucket", "--heat-bucket", "X", SLACKVM_FIELD(config.interference.heat_bucket),
+     above(0), "heat quantization bucket width"},
+    {"heat_weight", "--heat-weight", "X", SLACKVM_FIELD(config.interference.heat_weight),
+     at_least(0), "scorer penalty per unit of quantized heat"},
+    {"itf_threshold", "--itf-threshold", "X", SLACKVM_FIELD(config.interference.threshold),
+     at_least(1), "contention inflation the polluter pass fires above"},
+    {"itf_evictions", "--itf-evictions", "N",
+     SLACKVM_FIELD(config.interference.evictions_per_pass), at_least(1),
+     "polluter evictions per pass"},
+};
+
+#undef SLACKVM_FIELD
+
+// The words of a `true|false` switch or a string knob's choices.
+std::pair<std::string_view, std::string_view> split_words(std::string_view arg) {
+  const std::size_t bar = arg.find('|');
+  return {arg.substr(0, bar), arg.substr(bar + 1)};
+}
+
+bool in_range(double value, const KnobRange& range) {
+  return (range.min_open ? value > range.min : value >= range.min) &&
+         (range.max_open ? value < range.max : value <= range.max);
+}
+
+// The largest written value of an integer field of type T.
+template <class T>
+std::uint64_t max_written(double scale) {
+  return static_cast<std::uint64_t>(std::numeric_limits<T>::max()) /
+         static_cast<std::uint64_t>(scale);
+}
+
+template <class T>
+std::string number_requirement(const KnobRange& range, double scale) {
+  if constexpr (std::is_floating_point_v<T>) {
+    if (range.min == -kInf && range.max == kInf) {
+      return "must be a finite number";
+    }
+    if (range.max == kInf) {
+      return std::string("must be a number ") + (range.min_open ? "> " : ">= ") +
+             number_text(range.min);
+    }
+    return std::string("must be a number in ") + (range.min_open ? "(" : "[") +
+           number_text(range.min) + ", " + number_text(range.max) +
+           (range.max_open ? ")" : "]");
+  } else {
+    const std::uint64_t lo = range.min > 0 ? static_cast<std::uint64_t>(range.min) +
+                                                 (range.min_open ? 1 : 0)
+                                           : 0;
+    const std::uint64_t hi = max_written<T>(scale);
+    if (hi == std::numeric_limits<std::uint64_t>::max()) {
+      return "must be an integer >= " + std::to_string(lo);
+    }
+    return "must be an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) +
+           "]";
+  }
+}
+
+// The fault directive line form `<kind> host=H at=T [cluster=C]`: kinds
+// indexed by FaultDirective::Kind, fields in write order.
+constexpr std::array<std::string_view, 3> kDirectiveKinds{"fail", "drain", "repair"};
+
+struct DirectiveField {
+  std::string_view name;
+  std::variant<sched::HostId FaultDirective::*, core::SimTime FaultDirective::*,
+               std::size_t FaultDirective::*>
+      member;
+  bool required;
+};
+
+const DirectiveField kDirectiveFields[] = {
+    {"host", &FaultDirective::host, true},
+    {"at", &FaultDirective::at, true},
+    {"cluster", &FaultDirective::cluster, false},
+};
+
+// Name of the knob whose field is `field` of `probe`: lets a cross-knob
+// message name knobs without spelling a key or flag a second time.
+std::string knob_name(Scenario& probe, const void* field, KnobName naming) {
+  for (const Knob& knob : kKnobs) {
+    const void* target =
+        std::visit([&](auto get) -> const void* { return &get(probe); }, knob.field);
+    if (target == field) {
+      return std::string(naming == KnobName::kKey ? knob.key : knob.flag);
+    }
+  }
+  SLACKVM_THROW("knob_name: no knob sets this field");
+}
+
+}  // namespace
+
+bool Knob::parse(Scenario& scenario, std::string_view text) const {
+  return std::visit(
+      [&](auto get) {
+        auto& target = get(scenario);
+        using T = std::remove_reference_t<decltype(target)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          const auto [first, second] = split_words(arg);
+          if (arg.find('|') != std::string_view::npos && text != first && text != second) {
+            return false;
+          }
+          target = text;
+        } else if constexpr (std::is_same_v<T, char>) {
+          if (text.size() != 1 || !in_range(text[0], range)) {
+            return false;
+          }
+          target = text[0];
+        } else if constexpr (std::is_same_v<T, bool>) {
+          const auto [yes, no] = split_words(arg);
+          if (text != yes && text != no && text != "1" && text != "0") {
+            return false;
+          }
+          target = text == yes || text == "1";
+        } else if constexpr (std::is_floating_point_v<T>) {
+          const std::optional<double> value = parse_number<double>(text);
+          if (!value || !in_range(*value, range)) {
+            return false;
+          }
+          target = *value * scale;
+        } else {
+          const std::optional<std::uint64_t> value = parse_number<std::uint64_t>(text);
+          if (!value || !in_range(static_cast<double>(*value), range) ||
+              *value > max_written<T>(scale)) {
+            return false;
+          }
+          target = static_cast<T>(*value * static_cast<std::uint64_t>(scale));
+        }
+        return true;
+      },
+      field);
+}
+
+std::string Knob::format(const Scenario& scenario) const {
+  return std::visit(
+      [&](auto get) -> std::string {
+        // The accessors take a mutable Scenario; this one only reads.
+        const auto& value = get(const_cast<Scenario&>(scenario));
+        using T = std::remove_cvref_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          return value;
+        } else if constexpr (std::is_same_v<T, char>) {
+          return std::string(1, value);
+        } else if constexpr (std::is_same_v<T, bool>) {
+          return std::string(value ? split_words(arg).first : split_words(arg).second);
+        } else if constexpr (std::is_floating_point_v<T>) {
+          return number_text(value / scale);
+        } else {
+          return number_text(value / static_cast<T>(scale));
+        }
+      },
+      field);
+}
+
+std::string Knob::requirement() const {
+  return std::visit(
+      [&](auto get) -> std::string {
+        using T = std::remove_reference_t<decltype(get(std::declval<Scenario&>()))>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          return arg.find('|') != std::string_view::npos ? "must be " + std::string(arg)
+                                                         : "must be one token";
+        } else if constexpr (std::is_same_v<T, char>) {
+          return "must be one letter " + std::string(1, static_cast<char>(range.min)) +
+                 ".." + std::string(1, static_cast<char>(range.max));
+        } else if constexpr (std::is_same_v<T, bool>) {
+          return "must be " + std::string(arg) + " or 1|0";
+        } else {
+          return number_requirement<T>(range, scale);
+        }
+      },
+      field);
+}
+
+std::span<const Knob> knobs() { return kKnobs; }
+
+void check_knobs(const Scenario& scenario, KnobName naming) {
+  const ExperimentConfig& config = scenario.config;
+  if (config.interference.enabled && !(config.rebalance_interval > 0)) {
+    Scenario probe;
+    SLACKVM_THROW(knob_name(probe, &probe.config.interference.enabled, naming) +
+                  " on needs " +
+                  knob_name(probe, &probe.config.rebalance_interval, naming) + " > 0");
+  }
+}
+
 Scenario parse_scenario(std::istream& input) {
   Scenario scenario;
   std::string line;
   std::size_t line_no = 0;
-  // First-seen line per scalar key: every scalar key may appear at most
-  // once, so a stale duplicate (the classic copy-paste edit that silently
-  // loses) is a parse error, not a last-one-wins surprise. Directives
-  // (fail/drain/repair) are events and stay repeatable.
-  std::map<std::string, std::size_t> seen;
+  // First-seen line per key: every key may appear at most once, so a stale
+  // duplicate (the classic copy-paste edit that silently loses) is a parse
+  // error, not a last-one-wins surprise. Directives are events and repeat.
+  std::map<std::string_view, std::size_t> seen;
   while (std::getline(input, line)) {
     ++line_no;
     // Strip trailing comments.
@@ -42,269 +340,90 @@ Scenario parse_scenario(std::istream& input) {
     const auto fail = [&](const std::string& message) {
       SLACKVM_THROW("scenario line " + std::to_string(line_no) + ": " + message);
     };
-    const bool directive = key == "fail" || key == "drain" || key == "repair";
-    if (!directive) {
-      const auto [first, inserted] = seen.emplace(key, line_no);
-      if (!inserted) {
-        fail("duplicate key '" + key + "' (first set on line " +
-             std::to_string(first->second) + ")");
-      }
-    }
     std::string value;
     if (!(in >> value)) {
       fail("missing value for '" + key + "'");
     }
-    try {
-      if (key == "name") {
-        scenario.name = value;
-      } else if (key == "provider") {
-        scenario.provider = value;
-      } else if (key == "distribution") {
-        if (value.size() != 1) {
-          fail("distribution must be a single letter A..O");
+
+    if (const auto kind = std::ranges::find(kDirectiveKinds, key);
+        kind != kDirectiveKinds.end()) {
+      FaultDirective event;
+      event.kind = static_cast<FaultDirective::Kind>(kind - kDirectiveKinds.begin());
+      std::uint32_t given = 0;  // bit i: kDirectiveFields[i] was set
+      // `value` holds the first field; the rest stream in.
+      std::string token = value;
+      do {
+        const auto eq = token.find('=');
+        if (eq == std::string::npos) {
+          fail("directive fields are key=value, got '" + token + "'");
         }
-        scenario.distribution = value[0];
-      } else if (key == "population") {
-        scenario.config.generator.target_population = std::stoull(value);
-      } else if (key == "seed") {
-        scenario.config.generator.seed = std::stoull(value);
-      } else if (key == "repetitions") {
-        scenario.config.repetitions = std::stoull(value);
-      } else if (key == "parallelism") {
-        scenario.config.parallelism = std::stoull(value);
-      } else if (key == "shards") {
-        scenario.config.shards = std::stoull(value);
-        if (scenario.config.shards == 0) {
-          fail("shards must be >= 1");
+        const std::string_view name = std::string_view(token).substr(0, eq);
+        const std::string_view text = std::string_view(token).substr(eq + 1);
+        const auto field =
+            std::ranges::find(kDirectiveFields, name, &DirectiveField::name);
+        if (field == std::end(kDirectiveFields)) {
+          fail("unknown directive field '" + std::string(name) + "'");
         }
-      } else if (key == "index") {
-        if (value == "on" || value == "1") {
-          scenario.config.use_index = true;
-        } else if (value == "off" || value == "0") {
-          scenario.config.use_index = false;
-        } else {
-          fail("index must be on|off");
-        }
-      } else if (key == "mem_oversub") {
-        scenario.config.mem_oversub = std::stod(value);
-      } else if (key == "horizon_days") {
-        scenario.config.generator.horizon = std::stod(value) * 24 * 3600;
-      } else if (key == "lifetime_days") {
-        scenario.config.generator.mean_lifetime = std::stod(value) * 24 * 3600;
-      } else if (key == "diurnal") {
-        scenario.config.generator.diurnal_amplitude = std::stod(value);
-      } else if (key == "faults") {
-        scenario.config.faults.count = std::stoull(value);
-      } else if (key == "fault_seed") {
-        scenario.config.faults.seed = std::stoull(value);
-      } else if (key == "repair_delay_s") {
-        scenario.config.faults.repair_delay = std::stod(value);
-      } else if (key == "drain_lead_s") {
-        scenario.config.faults.drain_lead = std::stod(value);
-      } else if (key == "evac_retries") {
-        scenario.config.faults.max_retries = std::stoull(value);
-      } else if (key == "evac_backoff_s") {
-        scenario.config.faults.backoff_base = std::stod(value);
-      } else if (key == "rebalance_s") {
-        scenario.config.rebalance_interval = std::stod(value);
-        if (scenario.config.rebalance_interval < 0) {
-          fail("rebalance_s must be >= 0");
-        }
-      } else if (key == "rebalance_budget") {
-        scenario.config.rebalance_budget = std::stoull(value);
-      } else if (key == "migration") {
-        if (value == "engine") {
-          scenario.config.migration.enabled = true;
-        } else if (value == "instant") {
-          scenario.config.migration.enabled = false;
-        } else {
-          fail("migration must be engine|instant");
-        }
-      } else if (key == "mig_bw_mibps") {
-        scenario.config.migration.bandwidth_mibps = std::stod(value);
-        if (!(scenario.config.migration.bandwidth_mibps > 0)) {
-          fail("mig_bw_mibps must be > 0");
-        }
-      } else if (key == "mig_cap") {
-        scenario.config.migration.max_concurrent_per_host = std::stoull(value);
-        if (scenario.config.migration.max_concurrent_per_host == 0) {
-          fail("mig_cap must be >= 1");
-        }
-      } else if (key == "mig_in_flight") {
-        scenario.config.migration.max_in_flight = std::stoull(value);
-        if (scenario.config.migration.max_in_flight == 0) {
-          fail("mig_in_flight must be >= 1");
-        }
-      } else if (key == "mig_timeout_s") {
-        scenario.config.migration.timeout = std::stod(value);
-        if (scenario.config.migration.timeout < 0) {
-          fail("mig_timeout_s must be >= 0");
-        }
-      } else if (key == "mig_retries") {
-        scenario.config.migration.max_retries = std::stoull(value);
-      } else if (key == "mig_backoff_s") {
-        scenario.config.migration.backoff_base = std::stod(value);
-        if (scenario.config.migration.backoff_base < 0) {
-          fail("mig_backoff_s must be >= 0");
-        }
-      } else if (key == "interference") {
-        if (value == "on" || value == "1") {
-          scenario.config.interference.enabled = true;
-        } else if (value == "off" || value == "0") {
-          scenario.config.interference.enabled = false;
-        } else {
-          fail("interference must be on|off");
-        }
-      } else if (key == "heat_interval_s") {
-        scenario.config.interference.heat_interval = std::stod(value);
-        if (!(scenario.config.interference.heat_interval > 0)) {
-          fail("heat_interval_s must be > 0");
-        }
-      } else if (key == "heat_alpha") {
-        scenario.config.interference.heat_alpha = std::stod(value);
-        if (!(scenario.config.interference.heat_alpha > 0) ||
-            scenario.config.interference.heat_alpha > 1.0) {
-          fail("heat_alpha must be in (0, 1]");
-        }
-      } else if (key == "heat_bucket") {
-        scenario.config.interference.heat_bucket = std::stod(value);
-        if (!(scenario.config.interference.heat_bucket > 0)) {
-          fail("heat_bucket must be > 0");
-        }
-      } else if (key == "heat_weight") {
-        scenario.config.interference.heat_weight = std::stod(value);
-        if (scenario.config.interference.heat_weight < 0) {
-          fail("heat_weight must be >= 0");
-        }
-      } else if (key == "itf_threshold") {
-        scenario.config.interference.threshold = std::stod(value);
-        if (scenario.config.interference.threshold < 1.0) {
-          fail("itf_threshold must be >= 1");
-        }
-      } else if (key == "itf_evictions") {
-        scenario.config.interference.evictions_per_pass = std::stoull(value);
-        if (scenario.config.interference.evictions_per_pass == 0) {
-          fail("itf_evictions must be >= 1");
-        }
-      } else if (key == "fail" || key == "drain" || key == "repair") {
-        FaultDirective event;
-        event.kind = key == "fail"    ? FaultDirective::Kind::kFail
-                     : key == "drain" ? FaultDirective::Kind::kDrain
-                                      : FaultDirective::Kind::kRepair;
-        bool have_host = false;
-        bool have_at = false;
-        // `value` holds the first field; the rest stream in.
-        std::string token = value;
-        do {
-          const auto eq = token.find('=');
-          if (eq == std::string::npos) {
-            fail("directive fields are key=value, got '" + token + "'");
-          }
-          const std::string field = token.substr(0, eq);
-          const std::string field_value = token.substr(eq + 1);
-          if (field == "host") {
-            event.host = static_cast<sched::HostId>(std::stoul(field_value));
-            have_host = true;
-          } else if (field == "at") {
-            event.at = std::stod(field_value);
-            have_at = true;
-          } else if (field == "cluster") {
-            event.cluster = std::stoull(field_value);
-          } else {
-            fail("unknown directive field '" + field + "'");
-          }
-        } while (in >> token);
-        if (!have_host || !have_at) {
-          fail("'" + key + "' needs host= and at=");
-        }
-        scenario.config.faults.directives.push_back(event);
-      } else if (key == "trace") {
-        scenario.config.trace_path = value;
-      } else if (key == "host_cores") {
-        scenario.config.host_config.cores =
-            static_cast<core::CoreCount>(std::stoul(value));
-      } else if (key == "host_mem_gib") {
-        scenario.config.host_config.mem_mib = core::gib(std::stoll(value));
-      } else {
-        fail("unknown key '" + key + "'");
-      }
-      // Scalar keys take exactly one value: leftover tokens are either a
-      // forgotten '#' or a mangled line, so reject them with the position
-      // instead of silently dropping them. Directives consumed the whole
-      // line themselves above.
-      if (!directive) {
-        std::string extra;
-        if (in >> extra) {
-          fail("trailing token '" + extra + "' after '" + key + " " + value + "'");
+        std::visit(
+            [&](auto member) {
+              using T = std::remove_reference_t<decltype(event.*member)>;
+              const std::optional<T> parsed = parse_number<T>(text);
+              if (!parsed) {
+                fail("'" + key + "' field " + std::string(name) + " " +
+                     number_requirement<T>({}, 1) + ", got '" + std::string(text) + "'");
+              }
+              event.*member = *parsed;
+            },
+            field->member);
+        given |= 1U << (field - std::begin(kDirectiveFields));
+      } while (in >> token);
+      for (std::size_t i = 0; i < std::size(kDirectiveFields); ++i) {
+        if (kDirectiveFields[i].required && (given >> i & 1U) == 0) {
+          fail("'" + key + "' needs " + std::string(kDirectiveFields[i].name) + "=");
         }
       }
-    } catch (const std::invalid_argument&) {
-      fail("invalid value '" + value + "' for '" + key + "'");
-    } catch (const std::out_of_range&) {
-      fail("out-of-range value '" + value + "' for '" + key + "'");
+      scenario.config.faults.directives.push_back(event);
+      continue;
+    }
+
+    const auto knob = std::ranges::find(kKnobs, key, &Knob::key);
+    if (knob == std::end(kKnobs)) {
+      fail("unknown key '" + key + "'");
+    }
+    const auto [first, inserted] = seen.emplace(knob->key, line_no);
+    if (!inserted) {
+      fail("duplicate key '" + key + "' (first set on line " +
+           std::to_string(first->second) + ")");
+    }
+    if (!knob->parse(scenario, value)) {
+      fail(key + " " + knob->requirement() + ", got '" + value + "'");
+    }
+    // A knob takes exactly one value: leftover tokens are either a
+    // forgotten '#' or a mangled line, so reject them with the position
+    // instead of silently dropping them.
+    std::string extra;
+    if (in >> extra) {
+      fail("trailing token '" + extra + "' after '" + key + " " + value + "'");
     }
   }
-  // Validate eagerly so errors surface at parse time, not mid-run.
-  (void)scenario.catalog();
-  (void)scenario.mix();
-  if (scenario.config.generator.target_population == 0) {
-    SLACKVM_THROW("scenario: population must be positive");
-  }
+  check_knobs(scenario, KnobName::kKey);
   return scenario;
 }
 
 void write_scenario(const Scenario& scenario, std::ostream& output) {
-  output << "name " << scenario.name << '\n';
-  output << "provider " << scenario.provider << '\n';
-  output << "distribution " << scenario.distribution << '\n';
-  output << "population " << scenario.config.generator.target_population << '\n';
-  output << "seed " << scenario.config.generator.seed << '\n';
-  output << "repetitions " << scenario.config.repetitions << '\n';
-  output << "parallelism " << scenario.config.parallelism << '\n';
-  output << "shards " << scenario.config.shards << '\n';
-  output << "index " << (scenario.config.use_index ? "on" : "off") << '\n';
-  output << "mem_oversub " << scenario.config.mem_oversub << '\n';
-  output << "horizon_days " << scenario.config.generator.horizon / (24 * 3600) << '\n';
-  output << "lifetime_days " << scenario.config.generator.mean_lifetime / (24 * 3600)
-         << '\n';
-  output << "diurnal " << scenario.config.generator.diurnal_amplitude << '\n';
-  if (!scenario.config.trace_path.empty()) {
-    output << "trace " << scenario.config.trace_path << '\n';
+  for (const Knob& knob : kKnobs) {
+    if (const std::string value = knob.format(scenario); !value.empty()) {
+      output << knob.key << ' ' << value << '\n';
+    }
   }
-  output << "host_cores " << scenario.config.host_config.cores << '\n';
-  output << "host_mem_gib " << scenario.config.host_config.mem_mib / core::kMibPerGib
-         << '\n';
-  const FaultConfig& faults = scenario.config.faults;
-  output << "faults " << faults.count << '\n';
-  output << "fault_seed " << faults.seed << '\n';
-  output << "repair_delay_s " << faults.repair_delay << '\n';
-  output << "drain_lead_s " << faults.drain_lead << '\n';
-  output << "evac_retries " << faults.max_retries << '\n';
-  output << "evac_backoff_s " << faults.backoff_base << '\n';
-  output << "rebalance_s " << scenario.config.rebalance_interval << '\n';
-  output << "rebalance_budget " << scenario.config.rebalance_budget << '\n';
-  const MigrationConfig& migration = scenario.config.migration;
-  output << "migration " << (migration.enabled ? "engine" : "instant") << '\n';
-  output << "mig_bw_mibps " << migration.bandwidth_mibps << '\n';
-  output << "mig_cap " << migration.max_concurrent_per_host << '\n';
-  output << "mig_in_flight " << migration.max_in_flight << '\n';
-  output << "mig_timeout_s " << migration.timeout << '\n';
-  output << "mig_retries " << migration.max_retries << '\n';
-  output << "mig_backoff_s " << migration.backoff_base << '\n';
-  const sched::InterferenceOptions& itf = scenario.config.interference;
-  output << "interference " << (itf.enabled ? "on" : "off") << '\n';
-  output << "heat_interval_s " << itf.heat_interval << '\n';
-  output << "heat_alpha " << itf.heat_alpha << '\n';
-  output << "heat_bucket " << itf.heat_bucket << '\n';
-  output << "heat_weight " << itf.heat_weight << '\n';
-  output << "itf_threshold " << itf.threshold << '\n';
-  output << "itf_evictions " << itf.evictions_per_pass << '\n';
-  for (const FaultDirective& directive : faults.directives) {
-    const char* kind = directive.kind == FaultDirective::Kind::kFail    ? "fail"
-                       : directive.kind == FaultDirective::Kind::kDrain ? "drain"
-                                                                        : "repair";
-    output << kind << " host=" << directive.host << " at=" << directive.at
-           << " cluster=" << directive.cluster << '\n';
+  for (const FaultDirective& directive : scenario.config.faults.directives) {
+    output << kDirectiveKinds[static_cast<std::size_t>(directive.kind)];
+    for (const DirectiveField& field : kDirectiveFields) {
+      output << ' ' << field.name << '='
+             << std::visit([&](auto member) { return number_text(directive.*member); },
+                           field.member);
+    }
+    output << '\n';
   }
 }
 

@@ -5,78 +5,36 @@
 // experiments can be versioned and shared instead of encoded in shell
 // flags. Used by `slackvm run-scenario` and the shipped scenarios/ files.
 //
-// Format (lines starting with '#' and blanks ignored):
+// Every knob is declared once, as a row of the knob table in scenario.cpp:
+// its scenario key, its `slackvm` flag (scenario-only knobs have none), the
+// field it sets, the values it accepts and one help line. parse_scenario,
+// write_scenario, the CLI's flag parser and its usage text are all driven
+// by that table; `slackvm` without arguments prints the generated list of
+// flags and keys.
 //
-//   name         f-at-scale
-//   provider     ovhcloud          # azure | ovhcloud
-//   distribution F                 # A..O
-//   population   500
-//   seed         42
-//   repetitions  3
-//   parallelism  1                 # worker threads (0 = all cores); results
-//                                  # are identical at every value
-//   shards       1                 # replay loop shards (sim/shard.hpp):
-//                                  # 1 = plain replay; > 1 = cell-partitioned
-//                                  # sharded replay (bit-identical across
-//                                  # parallelism/index for a given value)
-//   index        on                # incremental placement index (on|off);
-//                                  # results identical, off = naive scan
-//   mem_oversub  1.0
-//   horizon_days 7
-//   lifetime_days 2
-//   diurnal      0.0
-//   trace        traces/sap_month.csv   # optional: stream this CSV
-//                                  # (workload::TraceReader, native or real
-//                                  # format) instead of generating a
-//                                  # workload; population/seed/horizon then
-//                                  # only shape the fault seeds
+// Format: one `key value` pair per line; '#' starts a comment and blank
+// lines are ignored. Every key may appear at most once (duplicates are
+// parse errors) and takes exactly one value (trailing tokens are parse
+// errors). Values are strict: an integer knob takes base-10 digits only (no
+// sign, no prefix, nothing its field cannot hold), a real knob takes a
+// finite decimal, the whole token must be consumed, and a switch takes its
+// two words (on|off, engine|instant) or 1|0.
 //
-// Fault injection (sim/fault.hpp) — all optional, default off:
+// Fault directives (sim/fault.hpp) are the one line form that may repeat:
 //
-//   faults        100               # seed-derived host failures over the run
-//   fault_seed    0                 # 0 = derive from the workload seed
-//   repair_delay_s 14400            # FAILED -> UP delay for seeded failures
-//   drain_lead_s  0                 # grace drain before each seeded failure
-//   evac_retries  5                 # evacuation retry budget per victim
-//   evac_backoff_s 60               # base of the exponential retry backoff
-//   fail   host=3 at=86400          # explicit events (cluster=N optional);
+//   fail   host=3 at=86400          # cluster=N optional (default 0);
 //   repair host=3 at=90000          # explicit failures never auto-repair
 //   drain  host=7 at=43200
-//
-// Continuous rebalance / live migration (sim/migration.hpp) — optional:
-//
-//   rebalance_s     21600            # consolidation cadence (0 = off)
-//   rebalance_budget 64              # migrations planned per cluster/pass
-//   migration       engine           # engine = time-extended flights with
-//                                    # retry/rollback; instant = legacy
-//                                    # apply_plan teleport
-//   mig_bw_mibps    1024             # pre-copy bandwidth (flight duration =
-//                                    # VM mem / bandwidth)
-//   mig_cap         2                # concurrent flights per host (src+dst)
-//   mig_in_flight   16               # concurrent flights per cluster
-//   mig_timeout_s   0                # per-flight deadline (0 = none)
-//   mig_retries     3                # rollback retry budget per VM
-//   mig_backoff_s   60               # base of the exponential retry backoff
-//
-// Interference loop (sched/rebalancer.hpp, needs rebalance_s > 0) — optional:
-//
-//   interference    on               # arm the heat EWMA + polluter pass
-//                                    # (and heat-aware shared-policy scoring)
-//   heat_interval_s 900              # seconds between heat EWMA refreshes
-//   heat_alpha      0.3              # EWMA smoothing factor in (0, 1]
-//   heat_bucket     0.25             # heat quantization bucket width
-//   heat_weight     4.0              # scorer penalty per unit quantized heat
-//   itf_threshold   1.25             # polluter pass fires above this
-//                                    # contention inflation (1.0 = none)
-//   itf_evictions   4                # polluter evictions per pass
-//
-// Every scalar key may appear at most once (duplicates are parse errors),
-// and takes exactly one value (trailing tokens are parse errors);
-// fail/drain/repair directives may repeat.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <limits>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <variant>
 
 #include "sim/experiment.hpp"
 
@@ -98,11 +56,66 @@ struct Scenario {
   [[nodiscard]] PackingComparison run() const;
 };
 
+/// The values a numeric knob accepts, in written units.
+struct KnobRange {
+  double min = -std::numeric_limits<double>::infinity();
+  double max = std::numeric_limits<double>::infinity();
+  bool min_open = false;  ///< min itself excluded: "> 0" rather than ">= 0"
+  bool max_open = false;  ///< max itself excluded: "[0, 1)"
+};
+
+/// One knob: the single declaration the scenario grammar, write_scenario,
+/// the `slackvm` flags and their usage text are generated from.
+struct Knob {
+  /// The field a knob sets, typed by what it holds.
+  using Field = std::variant<std::string& (*)(Scenario&), char& (*)(Scenario&),
+                             bool& (*)(Scenario&), std::uint32_t& (*)(Scenario&),
+                             std::uint64_t& (*)(Scenario&), std::int64_t& (*)(Scenario&),
+                             double& (*)(Scenario&)>;
+
+  std::string_view key;   ///< scenario key
+  std::string_view flag;  ///< `slackvm` flag; empty for scenario-only knobs
+  /// Usage placeholder (N, X, FILE, ...). With a '|' it lists the accepted
+  /// words instead: a switch's true|false spelling, or a string's choices.
+  std::string_view arg;
+  Field field;
+  KnobRange range;        ///< numbers: accepted values; char: accepted letters
+  std::string_view help;  ///< one usage line
+  double scale = 1;       ///< field units per written unit (days -> s, GiB -> MiB)
+
+  /// Set the field from `text`; false, with the field untouched, on any
+  /// value the knob does not accept.
+  [[nodiscard]] bool parse(Scenario& scenario, std::string_view text) const;
+  /// The field as parse() reads it back (doubles in their shortest
+  /// round-trip form); empty for an empty string, which is not written.
+  [[nodiscard]] std::string format(const Scenario& scenario) const;
+  /// What parse() accepts, for error messages: "must be an integer >= 1".
+  [[nodiscard]] std::string requirement() const;
+};
+
+/// The knob table, in write_scenario's order.
+[[nodiscard]] std::span<const Knob> knobs();
+
+/// The strict number parser behind every knob and directive field: base-10
+/// digits only for an unsigned T (no sign, no prefix, no overflow of T), a
+/// finite decimal for double; nullopt unless the whole token is consumed.
+template <class T>
+[[nodiscard]] std::optional<T> parse_number(std::string_view text);
+
+/// Which name a message gives a knob.
+enum class KnobName { kKey, kFlag };
+
+/// The checks no single knob can make (the interference loop needs a
+/// positive rebalance cadence). Both front ends run them once every knob is
+/// set; throws core::SlackError naming the knobs involved.
+void check_knobs(const Scenario& scenario, KnobName naming);
+
 /// Parse a scenario file; throws core::SlackError with a line-numbered
-/// message on malformed input or unknown keys.
+/// message naming the key on malformed input or unknown keys.
 [[nodiscard]] Scenario parse_scenario(std::istream& input);
 
-/// Serialize (round-trips with the parser).
+/// Serialize every knob and directive; parse_scenario reads the text back to
+/// the same fields, and writing that again gives the same text.
 void write_scenario(const Scenario& scenario, std::ostream& output);
 
 }  // namespace slackvm::sim

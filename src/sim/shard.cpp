@@ -347,7 +347,7 @@ RunResult replay_sharded(Datacenter& dc, EventSource& source,
       // update is race-free while shards run in parallel, and no observe()
       // fires: a run only differs from a heat-free run through actual
       // placement changes. The demand caches are handed over only when the
-      // cluster's index machinery is on, so --index=off keeps the naive
+      // cluster's index machinery is on, so an index-off run keeps the naive
       // sample as the live differential reference.
       const sched::InterferenceOptions& itf = rebalance.interference;
       for (core::SimTime t = itf.heat_interval; t < horizon; t += itf.heat_interval) {

@@ -144,8 +144,8 @@ class DemandCache {
 /// With a `cache`, the demand breakdown comes from DemandCache::sample —
 /// bit-identical, but only epoch-dirtied hosts re-derive their term lists —
 /// and the cache is restamped afterwards. Replay paths hand the cache over
-/// exactly when the cluster's index machinery is enabled, so the --index
-/// escape hatch keeps the naive sample differentially covered.
+/// exactly when the cluster's index machinery is enabled, so the
+/// set_index_enabled hook keeps the naive sample differentially covered.
 std::size_t update_cluster_heat(sched::VCluster& cluster, core::SimTime t,
                                 double alpha, double bucket_width,
                                 DemandCache* cache = nullptr);

@@ -2,7 +2,7 @@
 // the quantized-heat buckets: the epoch + dirty-log protocol (refile only
 // on bucket crossings, epoch-match short-circuit, rolled-back-opening
 // drops), the uniform-width soundness flag, the VCluster synced_heat_index
-// wiring behind the --index escape hatch, and a randomized churn whose
+// wiring behind the set_index_enabled hook, and a randomized churn whose
 // incrementally-synced index must match a from-scratch rebuild exactly.
 #include "sched/heat_index.hpp"
 
@@ -189,7 +189,7 @@ TEST(HeatIndexCluster, SyncedIndexTracksHeatWritesAndHonoursTheHatch) {
   EXPECT_TRUE(index->check(cluster.hosts()).empty());
   EXPECT_TRUE(index->uniform_width());
 
-  // --index=off: the planner must fall back to the naive scan.
+  // set_index_enabled(false): the planner must fall back to the naive scan.
   cluster.set_index_enabled(false);
   EXPECT_EQ(cluster.synced_heat_index(), nullptr);
 }

@@ -2,7 +2,8 @@
 // the index enabled must make the *identical* placement decision as the
 // naive full-scan path at every single step, for every indexable policy,
 // across randomized place/remove/migrate churn — and whole experiment
-// sweeps must be bit-identical with the index on vs off (--index=on|off).
+// sweeps must be bit-identical with the index on vs off (the
+// ExperimentConfig::use_index / set_index_enabled hook).
 #include "sched/placement_index.hpp"
 
 #include <gtest/gtest.h>
@@ -193,7 +194,7 @@ TEST(PlacementIndexDifferential, RandomPolicyBypassesIndex) {
 
 TEST(PlacementIndexDifferential, SweepResultsBitIdenticalIndexOnVsOff) {
   // The Fig. 3 protocol end to end: every RunResult field — including the
-  // floating-point shares — must be bit-identical with --index on vs off.
+  // floating-point shares — must be bit-identical with use_index on vs off.
   sim::ExperimentConfig on;
   on.generator.target_population = 120;
   on.generator.horizon = 2.0 * 24 * 3600;

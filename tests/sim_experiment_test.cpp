@@ -5,6 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <filesystem>
+#include <fstream>
+#include <optional>
+
+#include "core/error.hpp"
 
 namespace slackvm::sim {
 namespace {
@@ -88,6 +93,48 @@ TEST(ExperimentTest, HeatmapIsLowerTriangularGrid) {
     EXPECT_GE(cell.pct_2to1, 0);
     EXPECT_LE(cell.pct_1to1 + cell.pct_2to1, 100);
   }
+}
+
+TEST(ExperimentTest, HeatmapRefusesATraceFile) {
+  // A trace fixes the level mix, so all fifteen cells would replay the same
+  // workload; the heatmap refuses it instead of dropping it silently. The
+  // file exists and parses, so only that check can throw.
+  ExperimentConfig cfg = small_config();
+  cfg.generator.target_population = 40;
+  cfg.trace_path =
+      (std::filesystem::temp_directory_path() / "slackvm_heatmap_trace.csv").string();
+  {
+    std::ofstream out(cfg.trace_path);
+    workload::Generator(workload::azure_catalog(), workload::distribution('F'),
+                        cfg.generator)
+        .generate()
+        .write_csv(out);
+  }
+  try {
+    (void)run_savings_heatmap(workload::azure_catalog(), cfg);
+    ADD_FAILURE() << "heatmap accepted a trace file";
+  } catch (const core::SlackError& e) {
+    EXPECT_NE(std::string(e.what()).find("fixes the level mix"), std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(cfg.trace_path);
+}
+
+TEST(ExperimentTest, RebalanceOptionsFollowTheConfig) {
+  ExperimentConfig cfg;
+  EXPECT_FALSE(rebalance_options(cfg).has_value());
+  cfg.rebalance_interval = 7200;
+  cfg.rebalance_budget = 9;
+  cfg.migration.enabled = true;
+  cfg.interference.enabled = true;
+  cfg.interference.heat_alpha = 0.5;
+  const std::optional<RebalanceOptions> options = rebalance_options(cfg);
+  ASSERT_TRUE(options.has_value());
+  EXPECT_EQ(options->interval, 7200.0);
+  EXPECT_EQ(options->budget_per_pass, 9U);
+  EXPECT_TRUE(options->migration.enabled);
+  EXPECT_TRUE(options->interference.enabled);
+  EXPECT_EQ(options->interference.heat_alpha, 0.5);
 }
 
 TEST(ExperimentTest, RepetitionsAverageDeterministically) {

@@ -2,7 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "core/error.hpp"
 
@@ -282,6 +294,248 @@ lifetime_days 1
   const PackingComparison cmp = scenario.run();
   EXPECT_GT(cmp.baseline.opened_pms, 0U);
   EXPECT_LE(cmp.slackvm.opened_pms, cmp.baseline.opened_pms + 1);
+}
+
+// --- strict values ----------------------------------------------------------
+
+// Each input was once accepted with a wrong value (a prefix parse, a
+// wrapped sign, a truncated overflow, a NaN); now each is a located error.
+TEST(ScenarioStrictParse, MisparsesAreErrorsNamingLineAndKey) {
+  struct Case {
+    const char* line;
+    const char* key;
+  };
+  for (const Case& c : {
+           Case{"population 12abc", "population"},
+           Case{"population -1", "population"},
+           Case{"population +5", "population"},
+           Case{"host_cores 4294967297", "host_cores"},
+           Case{"host_mem_gib 9007199254740992", "host_mem_gib"},
+           Case{"seed 0x10", "seed"},
+           Case{"seed 18446744073709551616", "seed"},
+           Case{"mig_retries -1", "mig_retries"},
+           Case{"mem_oversub nan", "mem_oversub"},
+           Case{"mem_oversub inf", "mem_oversub"},
+           Case{"mem_oversub 1e999", "mem_oversub"},
+           Case{"diurnal 0.5x", "diurnal"},
+           Case{"distribution FF", "distribution"},
+           Case{"migration on", "migration"},
+           Case{"fail host=-1 at=5", "host"},
+           Case{"fail host=4294967296 at=5", "host"},
+           Case{"drain host=1 at=nan", "at"},
+           Case{"repair host=1 at=5 cluster=-1", "cluster"},
+       }) {
+    SCOPED_TRACE(c.line);
+    std::istringstream in(std::string("name strict\n") + c.line + "\n");
+    try {
+      (void)parse_scenario(in);
+      ADD_FAILURE() << "accepted";
+    } catch (const core::SlackError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string(c.key) + " must be"), std::string::npos) << what;
+    }
+  }
+}
+
+// Values outside a knob's domain are refused where they are written. Each
+// used to be accepted: most then tripped a library assertion mid-run (a
+// negative backoff does once an evacuation retry is scheduled), and a
+// negative drain lead silently postponed each seeded failure.
+TEST(ScenarioStrictParse, OutOfDomainValuesAreParseErrors) {
+  for (const char* line : {"mem_oversub 0.5", "horizon_days 0", "lifetime_days -1",
+                           "diurnal 1", "host_cores 0", "host_mem_gib 0",
+                           "repair_delay_s -100", "evac_backoff_s -5",
+                           "drain_lead_s -1000"}) {
+    SCOPED_TRACE(line);
+    std::istringstream in(std::string("population 40\n") + line + "\n");
+    try {
+      (void)parse_scenario(in);
+      ADD_FAILURE() << "accepted";
+    } catch (const core::SlackError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+      const std::string key(line, std::string_view(line).find(' '));
+      EXPECT_NE(what.find(key + " must be"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(ScenarioStrictParse, InterferenceNeedsARebalanceCadence) {
+  // One check for both front ends: scenarios name the keys, the CLI flags.
+  std::istringstream in("population 10\ninterference on\n");
+  try {
+    (void)parse_scenario(in);
+    FAIL() << "expected SlackError";
+  } catch (const core::SlackError& e) {
+    EXPECT_NE(std::string(e.what()).find("interference on needs rebalance_s > 0"),
+              std::string::npos)
+        << e.what();
+  }
+  Scenario scenario;
+  scenario.config.interference.enabled = true;
+  try {
+    check_knobs(scenario, KnobName::kFlag);
+    FAIL() << "expected SlackError";
+  } catch (const core::SlackError& e) {
+    EXPECT_NE(std::string(e.what()).find("--interference on needs --rebalance > 0"),
+              std::string::npos)
+        << e.what();
+  }
+  scenario.config.rebalance_interval = 60;
+  EXPECT_NO_THROW(check_knobs(scenario, KnobName::kFlag));
+}
+
+// --- the knob table ----------------------------------------------------------
+
+TEST(KnobTable, KeysAndFlagsAreUnique) {
+  std::set<std::string_view> keys;
+  std::set<std::string_view> flags;
+  for (const Knob& knob : knobs()) {
+    EXPECT_TRUE(keys.insert(knob.key).second) << knob.key;
+    EXPECT_FALSE(knob.help.empty()) << knob.key;
+    if (!knob.flag.empty()) {
+      EXPECT_TRUE(flags.insert(knob.flag).second) << knob.flag;
+      EXPECT_EQ(knob.flag.substr(0, 2), "--") << knob.flag;
+    }
+  }
+  EXPECT_EQ(keys.count("index"), 0U);
+  EXPECT_EQ(flags.count("--index"), 0U);
+  EXPECT_EQ(flags.count("--stream"), 0U);
+}
+
+bool admits(const Knob& knob, double written) {
+  const KnobRange& r = knob.range;
+  return (r.min_open ? written > r.min : written >= r.min) &&
+         (r.max_open ? written < r.max : written <= r.max);
+}
+
+// Field values to round-trip for one knob, in field units; values the
+// knob's range refuses are left out.
+template <class T>
+std::vector<T> samples(const Knob& knob) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    const std::string_view arg = knob.arg;
+    if (const auto bar = arg.find('|'); bar != std::string_view::npos) {
+      return {std::string(arg.substr(0, bar)), std::string(arg.substr(bar + 1))};
+    }
+    return {"x", "traces/sap-month_2.csv"};
+  } else if constexpr (std::is_same_v<T, char>) {
+    return {'A', 'F', 'O'};
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return {false, true};
+  } else {
+    std::vector<T> out;
+    if constexpr (std::is_floating_point_v<T>) {
+      // Values the old 6-digit writer lost, and neighbours of 1 that only
+      // the shortest round-trip form keeps apart.
+      for (const double written :
+           {0.0, 1.0, 0.1 + 0.2, 0.123456789, 1234567.0, std::nextafter(1.0, 2.0),
+            std::nextafter(1.0, 0.0), 6.02214076e23, 3.5e-7}) {
+        if (admits(knob, written)) {
+          out.push_back(written * knob.scale);
+        }
+      }
+    } else {
+      const auto scale = static_cast<std::uint64_t>(knob.scale);
+      const std::uint64_t top =
+          static_cast<std::uint64_t>(std::numeric_limits<T>::max()) / scale;
+      for (const std::uint64_t written : {std::uint64_t{0}, std::uint64_t{1},
+                                          std::uint64_t{7}, top}) {
+        if (admits(knob, static_cast<double>(written))) {
+          out.push_back(static_cast<T>(written * scale));
+        }
+      }
+    }
+    return out;
+  }
+}
+
+std::string written(const Scenario& scenario) {
+  std::ostringstream out;
+  write_scenario(scenario, out);
+  return out.str();
+}
+
+Scenario reparsed(const std::string& text) {
+  std::istringstream in(text);
+  return parse_scenario(in);
+}
+
+// Set one field, write, parse: the field comes back bit for bit, and
+// writing the parsed scenario gives the same text.
+TEST(KnobTable, EveryKnobRoundTripsThroughTheWriter) {
+  for (const Knob& knob : knobs()) {
+    SCOPED_TRACE(std::string(knob.key));
+    std::visit(
+        [&](auto get) {
+          using T = std::remove_reference_t<decltype(get(std::declval<Scenario&>()))>;
+          const std::vector<T> values = samples<T>(knob);
+          EXPECT_GE(values.size(), 2U);
+          for (const T& value : values) {
+            Scenario original;
+            original.config.rebalance_interval = 3600;  // lets interference be on
+            get(original) = value;
+            const std::string text = written(original);
+            Scenario restored = reparsed(text);
+            EXPECT_EQ(written(restored), text);
+            if constexpr (std::is_floating_point_v<T>) {
+              if (knob.scale != 1) {
+                // horizon_days and lifetime_days are stored in seconds: the
+                // text holds seconds / 86400, and days * 86400 can land one
+                // ulp off the original. The text above is still a fixpoint.
+                EXPECT_LE(std::abs(get(restored) - value),
+                          std::abs(std::nextafter(value, 2 * value + 1) - value))
+                    << text;
+              } else {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(get(restored)),
+                          std::bit_cast<std::uint64_t>(value))
+                    << text;
+              }
+            } else {
+              EXPECT_EQ(get(restored), value) << text;
+            }
+          }
+        },
+        knob.field);
+  }
+}
+
+// The directive form round-trips its fields exactly too (`at` used to be
+// written with 6 significant digits).
+TEST(KnobTable, DirectivesRoundTripExactly) {
+  Scenario original;
+  original.config.faults.directives = {
+      {FaultDirective::Kind::kFail, 86400.123456789, 4294967295U, 3},
+      {FaultDirective::Kind::kDrain, 0.1 + 0.2, 0, 0},
+      {FaultDirective::Kind::kRepair, 1e9, 7, 18446744073709551615U},
+  };
+  const std::string text = written(original);
+  const Scenario restored = reparsed(text);
+  EXPECT_EQ(restored.config.faults.directives, original.config.faults.directives);
+  EXPECT_EQ(written(restored), text);
+}
+
+// Every shipped scenario parses, and writing it is a write->parse->write
+// fixpoint. real_trace_replay.scn parses without its trace file.
+TEST(ShippedScenarios, ParseAndRoundTrip) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(SLACKVM_SCENARIO_DIR)) {
+    if (entry.path().extension() == ".scn") {
+      files.push_back(entry.path());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_GE(files.size(), 7U);
+  for (const std::filesystem::path& file : files) {
+    SCOPED_TRACE(file.filename().string());
+    std::ifstream in(file);
+    ASSERT_TRUE(in.good());
+    const Scenario scenario = parse_scenario(in);
+    EXPECT_NE(scenario.name, "unnamed");
+    const std::string text = written(scenario);
+    EXPECT_EQ(written(reparsed(text)), text);
+  }
 }
 
 }  // namespace

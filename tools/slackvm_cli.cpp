@@ -1,7 +1,7 @@
 // slackvm — command-line front end for the library.
 //
 // Subcommands:
-//   catalog   <azure|ovhcloud>                 print the flavor catalog & Table I/II stats
+//   catalog   [--provider P]                   print the flavor catalog & Table I/II stats
 //   generate  [options]                        generate a workload trace to CSV
 //   analyze   --trace FILE                     aggregate statistics of a trace
 //   replay    --trace FILE [options]           replay a trace under a policy
@@ -10,16 +10,16 @@
 //   topology  [--file DUMP]                    show a machine's topology & distances
 //   run-scenario --file SCENARIO               run a declarative experiment file
 //
-// Common options: --provider azure|ovhcloud, --dist A..O, --seed N,
-// --population N, --policy first-fit|best-fit|worst-fit|random|progress|slackvm,
-// --mode shared|dedicated, --mem-oversub X, --rebalance SECONDS.
+// Options: every scenario knob (sim/scenario.hpp) with a flag, plus
+// --policy, --mode, --file, --out and --watchdog-s; `slackvm` without
+// arguments lists them all.
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "sched/offline.hpp"
 #include "sched/rebalancer.hpp"
@@ -42,71 +42,45 @@ namespace {
 
 struct Args {
   std::string command;
-  std::string provider = "ovhcloud";
-  char dist = 'F';
-  std::uint64_t seed = 42;
-  std::size_t population = 500;
+  sim::Scenario scenario;  ///< every knob flag lands here
   std::string policy = "progress";
   std::string mode = "shared";
-  std::string trace_path;
   std::string file_path;
   std::string out_path = "trace.csv";
-  double mem_oversub = 1.0;
-  double rebalance_s = 0.0;
-  std::size_t rebalance_budget = 64;
-  std::size_t parallelism = 1;
-  std::size_t repetitions = 1;
-  std::size_t shards = 1;
-  bool use_index = true;
-  bool stream = true;
   double watchdog_s = 0.0;
-  sim::FaultConfig faults;
-  sim::MigrationConfig migration;
-  sched::InterferenceOptions interference;
 };
 
 int usage() {
   std::fprintf(stderr,
-               "usage: slackvm <catalog|generate|analyze|replay|sweep|heatmap|topology|run-scenario>"
-               " [options]\n"
-               "options: --provider azure|ovhcloud  --dist A..O  --seed N\n"
-               "         --population N  --policy NAME  --mode shared|dedicated\n"
-               "         --mem-oversub X  --rebalance SECONDS  --trace FILE\n"
-               "         --file DUMP  --out FILE  --reps N\n"
-               "         --parallelism N   (sweep/heatmap worker threads; 0 = all\n"
-               "                            cores; results identical at any value)\n"
-               "         --index on|off    (incremental placement index; results\n"
-               "                            identical, off replays the naive scan)\n"
-               "         --shards N        (clusters dealt across N shards; > 1 runs\n"
-               "                            shards on the thread pool; replay uses\n"
-               "                            --parallelism threads)\n"
-               "         --stream on|off   (replay: pull the trace through the\n"
-               "                            streaming TraceReader [default] or\n"
-               "                            materialize it first; bit-identical)\n"
-               "         --faults N        (seed-derived host failures over the run)\n"
-               "         --fault-seed N    (0 = derive from --seed)\n"
-               "         --repair-s X  --drain-lead-s X   (fault timing knobs)\n"
-               "         --rebalance-budget N  (migrations planned per cluster/pass)\n"
-               "         --migration engine|instant  (time-extended flights with\n"
-               "                            retry/rollback, or legacy instant apply)\n"
-               "         --mig-bw MIBPS  --mig-cap N  --mig-in-flight N\n"
-               "         --mig-timeout-s X  --mig-retries N  --mig-backoff-s X\n"
-               "                           (engine knobs: pre-copy bandwidth, per-host\n"
-               "                            and per-cluster concurrency, deadline,\n"
-               "                            retry budget, backoff base)\n"
-               "         --watchdog-s X    (sharded replay: abort with a per-shard\n"
-               "                            progress dump after X seconds of stall)\n"
-               "         --interference on|off  (heat EWMA + polluter-eviction pass;\n"
-               "                            needs --rebalance > 0; sweep/heatmap also\n"
-               "                            switch the shared policy to interference-\n"
-               "                            aware scoring — replay keeps --policy, pass\n"
-               "                            --policy interference to match)\n"
-               "         --heat-interval-s X  --heat-alpha X  --heat-bucket X\n"
-               "         --heat-weight X   (heat EWMA cadence, smoothing factor,\n"
-               "                            quantization bucket, scorer penalty)\n"
-               "         --itf-threshold X --itf-evictions N  (polluter pass fires\n"
-               "                            above this contention inflation; evicts\n"
-               "                            at most N VMs per pass)\n");
+               "usage: slackvm <catalog|generate|analyze|replay|sweep|heatmap|topology|"
+               "run-scenario> [options]\n"
+               "options [scenario key]:\n"
+               "  --policy NAME                 replay policy: first-fit|best-fit|\n"
+               "                                worst-fit|random|progress|interference|\n"
+               "                                slackvm\n"
+               "  --mode shared|dedicated       replay cluster organisation\n"
+               "  --file FILE                   scenario (run-scenario) or topology dump\n"
+               "  --out FILE                    generate: output trace\n"
+               "  --watchdog-s X                sharded replay: dump per-shard progress\n"
+               "                                and abort after X seconds of stall\n");
+  for (const bool scenario_only : {false, true}) {
+    if (scenario_only) {
+      std::fprintf(stderr, "scenario-only keys:\n");
+    }
+    for (const sim::Knob& knob : sim::knobs()) {
+      if (knob.flag.empty() != scenario_only) {
+        continue;
+      }
+      const std::string spelled =
+          std::string(scenario_only ? knob.key : knob.flag) + " " + std::string(knob.arg);
+      std::fprintf(stderr, "  %-29s %.*s", spelled.c_str(),
+                   static_cast<int>(knob.help.size()), knob.help.data());
+      if (!scenario_only) {
+        std::fprintf(stderr, " [%.*s]", static_cast<int>(knob.key.size()), knob.key.data());
+      }
+      std::fprintf(stderr, "\n");
+    }
+  }
   return 2;
 }
 
@@ -116,151 +90,42 @@ std::optional<Args> parse_args(int argc, char** argv) {
   }
   Args args;
   args.command = argv[1];
+  const auto knobs = sim::knobs();
   for (int i = 2; i < argc; ++i) {
     const std::string key = argv[i];
-    auto value = [&]() -> const char* {
+    auto value = [&]() -> std::string {
       if (i + 1 >= argc) {
         throw core::SlackError("missing value for " + key);
       }
       return argv[++i];
     };
-    if (key == "--provider") {
-      args.provider = value();
-    } else if (key == "--dist") {
-      args.dist = value()[0];
-    } else if (key == "--seed") {
-      args.seed = std::strtoull(value(), nullptr, 10);
-    } else if (key == "--population") {
-      args.population = std::strtoull(value(), nullptr, 10);
-    } else if (key == "--policy") {
+    if (key == "--policy") {
       args.policy = value();
     } else if (key == "--mode") {
       args.mode = value();
-    } else if (key == "--trace") {
-      args.trace_path = value();
     } else if (key == "--file") {
       args.file_path = value();
     } else if (key == "--out") {
       args.out_path = value();
-    } else if (key == "--mem-oversub") {
-      args.mem_oversub = std::strtod(value(), nullptr);
-    } else if (key == "--rebalance") {
-      args.rebalance_s = std::strtod(value(), nullptr);
-    } else if (key == "--parallelism") {
-      args.parallelism = std::strtoull(value(), nullptr, 10);
-    } else if (key == "--shards") {
-      // Digits only: strtoull would wrap "-1" to 2^64 - 1 shards.
-      const std::string v = value();
-      args.shards = v.find_first_not_of("0123456789") == std::string::npos
-                        ? std::strtoull(v.c_str(), nullptr, 10)
-                        : 0;
-      if (args.shards == 0) {
-        throw core::SlackError("--shards must be an integer >= 1");
-      }
-    } else if (key == "--index") {
-      const std::string v = value();
-      if (v == "on") {
-        args.use_index = true;
-      } else if (v == "off") {
-        args.use_index = false;
-      } else {
-        throw core::SlackError("--index must be on|off");
-      }
-    } else if (key == "--stream") {
-      const std::string v = value();
-      if (v == "on") {
-        args.stream = true;
-      } else if (v == "off") {
-        args.stream = false;
-      } else {
-        throw core::SlackError("--stream must be on|off");
-      }
-    } else if (key == "--reps") {
-      args.repetitions = std::strtoull(value(), nullptr, 10);
-    } else if (key == "--faults") {
-      args.faults.count = std::strtoull(value(), nullptr, 10);
-    } else if (key == "--fault-seed") {
-      args.faults.seed = std::strtoull(value(), nullptr, 10);
-    } else if (key == "--repair-s") {
-      args.faults.repair_delay = std::strtod(value(), nullptr);
-    } else if (key == "--drain-lead-s") {
-      args.faults.drain_lead = std::strtod(value(), nullptr);
-    } else if (key == "--rebalance-budget") {
-      args.rebalance_budget = std::strtoull(value(), nullptr, 10);
-    } else if (key == "--migration") {
-      const std::string v = value();
-      if (v == "engine") {
-        args.migration.enabled = true;
-      } else if (v == "instant") {
-        args.migration.enabled = false;
-      } else {
-        throw core::SlackError("--migration must be engine|instant");
-      }
-    } else if (key == "--mig-bw") {
-      args.migration.bandwidth_mibps = std::strtod(value(), nullptr);
-      if (!(args.migration.bandwidth_mibps > 0)) {
-        throw core::SlackError("--mig-bw must be > 0");
-      }
-    } else if (key == "--mig-cap") {
-      args.migration.max_concurrent_per_host = std::strtoull(value(), nullptr, 10);
-    } else if (key == "--mig-in-flight") {
-      args.migration.max_in_flight = std::strtoull(value(), nullptr, 10);
-    } else if (key == "--mig-timeout-s") {
-      args.migration.timeout = std::strtod(value(), nullptr);
-    } else if (key == "--mig-retries") {
-      args.migration.max_retries = std::strtoull(value(), nullptr, 10);
-    } else if (key == "--mig-backoff-s") {
-      args.migration.backoff_base = std::strtod(value(), nullptr);
     } else if (key == "--watchdog-s") {
       // Converted to whole milliseconds later: a negative, NaN or huge value
       // would make that conversion undefined.
-      args.watchdog_s = std::strtod(value(), nullptr);
-      if (!(args.watchdog_s >= 0 && args.watchdog_s <= 1e9)) {
+      const auto seconds = sim::parse_number<double>(value());
+      if (!seconds || !(*seconds >= 0 && *seconds <= 1e9)) {
         throw core::SlackError("--watchdog-s must be in [0, 1e9]");
       }
-    } else if (key == "--interference") {
-      const std::string v = value();
-      if (v == "on") {
-        args.interference.enabled = true;
-      } else if (v == "off") {
-        args.interference.enabled = false;
-      } else {
-        throw core::SlackError("--interference must be on|off");
-      }
-    } else if (key == "--heat-interval-s") {
-      args.interference.heat_interval = std::strtod(value(), nullptr);
-      if (!(args.interference.heat_interval > 0)) {
-        throw core::SlackError("--heat-interval-s must be > 0");
-      }
-    } else if (key == "--heat-alpha") {
-      args.interference.heat_alpha = std::strtod(value(), nullptr);
-      if (!(args.interference.heat_alpha > 0 && args.interference.heat_alpha <= 1)) {
-        throw core::SlackError("--heat-alpha must be in (0, 1]");
-      }
-    } else if (key == "--heat-bucket") {
-      args.interference.heat_bucket = std::strtod(value(), nullptr);
-      if (!(args.interference.heat_bucket > 0)) {
-        throw core::SlackError("--heat-bucket must be > 0");
-      }
-    } else if (key == "--heat-weight") {
-      args.interference.heat_weight = std::strtod(value(), nullptr);
-      if (!(args.interference.heat_weight >= 0)) {
-        throw core::SlackError("--heat-weight must be >= 0");
-      }
-    } else if (key == "--itf-threshold") {
-      args.interference.threshold = std::strtod(value(), nullptr);
-      if (!(args.interference.threshold >= 1)) {
-        throw core::SlackError("--itf-threshold must be >= 1");
-      }
-    } else if (key == "--itf-evictions") {
-      args.interference.evictions_per_pass = std::strtoull(value(), nullptr, 10);
-      if (args.interference.evictions_per_pass == 0) {
-        throw core::SlackError("--itf-evictions must be >= 1");
+      args.watchdog_s = *seconds;
+    } else if (const auto knob = std::ranges::find(knobs, key, &sim::Knob::flag);
+               knob != knobs.end() && !key.empty()) {
+      const std::string text = value();
+      if (!knob->parse(args.scenario, text)) {
+        throw core::SlackError(key + " " + knob->requirement() + ", got '" + text + "'");
       }
     } else {
       throw core::SlackError("unknown option " + key);
     }
   }
+  sim::check_knobs(args.scenario, sim::KnobName::kFlag);
   return args;
 }
 
@@ -275,13 +140,15 @@ sim::PolicyFactory policy_factory(const Args& args) {
     return sched::make_worst_fit;
   }
   if (args.policy == "random") {
-    return [seed = args.seed] { return sched::make_random_fit(seed); };
+    return [seed = args.scenario.config.generator.seed] {
+      return sched::make_random_fit(seed);
+    };
   }
   if (args.policy == "progress") {
     return sched::make_progress_policy;
   }
   if (args.policy == "interference") {
-    return [weight = args.interference.heat_weight] {
+    return [weight = args.scenario.config.interference.heat_weight] {
       return sched::make_interference_policy(weight);
     };
   }
@@ -291,25 +158,15 @@ sim::PolicyFactory policy_factory(const Args& args) {
   throw core::SlackError("unknown policy " + args.policy);
 }
 
-workload::Trace load_trace(const Args& args) {
-  if (args.trace_path.empty()) {
+const std::string& trace_path(const Args& args) {
+  if (args.scenario.config.trace_path.empty()) {
     throw core::SlackError("--trace FILE required");
   }
-  // TraceReader instead of Trace::read_csv: same strict validation,
-  // several times the parse throughput, and it understands the 5-column
-  // real-provider format as well as the native one.
-  return workload::TraceReader(args.trace_path).read_all();
-}
-
-workload::GeneratorConfig generator_config(const Args& args) {
-  workload::GeneratorConfig cfg;
-  cfg.target_population = args.population;
-  cfg.seed = args.seed;
-  return cfg;
+  return args.scenario.config.trace_path;
 }
 
 int cmd_catalog(const Args& args) {
-  const workload::Catalog& catalog = workload::catalog_by_name(args.provider);
+  const workload::Catalog& catalog = args.scenario.catalog();
   std::printf("catalog %s (%zu flavors)\n", catalog.provider().c_str(),
               catalog.flavors().size());
   for (std::size_t i = 0; i < catalog.flavors().size(); ++i) {
@@ -328,9 +185,9 @@ int cmd_catalog(const Args& args) {
 }
 
 int cmd_generate(const Args& args) {
+  const sim::Scenario& scenario = args.scenario;
   const workload::Trace trace =
-      workload::Generator(workload::catalog_by_name(args.provider),
-                          workload::distribution(args.dist), generator_config(args))
+      workload::Generator(scenario.catalog(), scenario.mix(), scenario.config.generator)
           .generate();
   std::ofstream out(args.out_path);
   if (!out) {
@@ -338,13 +195,17 @@ int cmd_generate(const Args& args) {
   }
   trace.write_csv(out);
   std::printf("wrote %zu VMs to %s (provider %s, distribution %c, seed %llu)\n",
-              trace.size(), args.out_path.c_str(), args.provider.c_str(), args.dist,
-              static_cast<unsigned long long>(args.seed));
+              trace.size(), args.out_path.c_str(), scenario.provider.c_str(),
+              scenario.distribution,
+              static_cast<unsigned long long>(scenario.config.generator.seed));
   return 0;
 }
 
 int cmd_analyze(const Args& args) {
-  const workload::Trace trace = load_trace(args);
+  // TraceReader instead of Trace::read_csv: same strict validation,
+  // several times the parse throughput, and it understands the 5-column
+  // real-provider format as well as the native one.
+  const workload::Trace trace = workload::TraceReader(trace_path(args)).read_all();
   const workload::TraceStats stats = workload::analyze(trace);
   std::printf("VMs            : %zu\n", stats.vm_count);
   std::printf("peak population: %zu at t=%.0fs\n", stats.peak_population,
@@ -366,60 +227,40 @@ int cmd_analyze(const Args& args) {
 }
 
 int cmd_replay(const Args& args) {
-  if (args.trace_path.empty()) {
-    throw core::SlackError("--trace FILE required");
-  }
+  const std::string& path = trace_path(args);
+  const sim::ExperimentConfig& cfg = args.scenario.config;
   const core::Resources worker{32, core::gib(128)};
   sim::Datacenter dc =
       args.mode == "dedicated"
           ? sim::Datacenter::dedicated(worker,
                                        {core::OversubLevel{1}, core::OversubLevel{2},
                                         core::OversubLevel{3}},
-                                       policy_factory(args), args.mem_oversub)
-          : sim::Datacenter::shared_sharded(worker, policy_factory(args), args.shards,
-                                            args.mem_oversub);
-  dc.set_index_enabled(args.use_index);
-  std::optional<sim::RebalanceOptions> rebalance;
-  if (args.rebalance_s > 0) {
-    rebalance = sim::RebalanceOptions{args.rebalance_s, args.rebalance_budget,
-                                      args.migration, args.interference};
-  } else if (args.interference.enabled) {
-    throw core::SlackError("--interference needs --rebalance > 0");
-  }
-  const sim::FaultConfig faults = sim::resolve_fault_seed(args.faults, args.seed);
-  const sim::FaultConfig* fault_ptr = faults.enabled() ? &faults : nullptr;
-
-  // Streaming is the default: the trace is pulled row-by-row through
-  // TraceReader, so a multi-GB file replays in O(active window) memory.
-  // Configurations that need the horizon up-front (shards, rebalance,
-  // faults) get it from a cheap scan pre-pass; --stream off materializes
-  // the whole trace instead (bit-identical result either way).
-  std::unique_ptr<sim::EventSource> source;
-  workload::Trace trace;
-  if (args.stream) {
-    const bool needs_horizon =
-        args.shards > 1 || rebalance.has_value() || faults.enabled();
-    std::optional<workload::TraceReader::ScanInfo> scan;
-    if (needs_horizon) {
-      scan = workload::TraceReader::scan(args.trace_path);
-    }
-    source = std::make_unique<sim::StreamingTraceSource>(
-        workload::TraceReader(args.trace_path), scan);
-  } else {
-    trace = load_trace(args);
-    source = std::make_unique<sim::MaterializedSource>(trace);
-  }
-
+                                       policy_factory(args), cfg.mem_oversub)
+          : sim::Datacenter::shared_sharded(worker, policy_factory(args), cfg.shards,
+                                            cfg.mem_oversub);
+  // The same schedules a sweep cell builds from this config (run_cell).
+  const sim::FaultConfig faults = sim::resolve_fault_seed(cfg.faults, cfg.generator.seed);
   sim::ShardOptions shard_options;
-  shard_options.shards = args.shards;
-  shard_options.threads = args.parallelism;
-  shard_options.rebalance = rebalance;
-  shard_options.faults = fault_ptr;
+  shard_options.shards = cfg.shards;
+  shard_options.threads = cfg.parallelism;
+  shard_options.rebalance = sim::rebalance_options(cfg);
+  shard_options.faults = faults.enabled() ? &faults : nullptr;
   shard_options.watchdog_ms = static_cast<std::size_t>(args.watchdog_s * 1000.0);
-  const sim::RunResult result = sim::replay_sharded(dc, *source, shard_options);
-  std::printf("mode %s, policy %s, mem oversub %.2fx, shards %zu, %s trace\n",
-              args.mode.c_str(), args.policy.c_str(), args.mem_oversub, args.shards,
-              args.stream ? "streamed" : "materialized");
+
+  // The trace streams row by row through TraceReader, so a multi-GB file
+  // replays in O(active window) memory. Configurations that need the
+  // horizon up-front (shards, rebalance, faults) get it from a cheap scan
+  // pre-pass.
+  const bool needs_horizon = cfg.shards > 1 || shard_options.rebalance.has_value() ||
+                             shard_options.faults != nullptr;
+  std::optional<workload::TraceReader::ScanInfo> scan;
+  if (needs_horizon) {
+    scan = workload::TraceReader::scan(path);
+  }
+  sim::StreamingTraceSource source(workload::TraceReader(path), scan);
+  const sim::RunResult result = sim::replay_sharded(dc, source, shard_options);
+  std::printf("mode %s, policy %s, mem oversub %.2fx, shards %zu, streamed trace\n",
+              args.mode.c_str(), args.policy.c_str(), cfg.mem_oversub, cfg.shards);
   std::printf("placed VMs     : %zu (peak %zu concurrent)\n", result.placed_vms,
               result.peak_vms);
   std::printf("PMs opened     : %zu (peak active %zu)\n", result.opened_pms,
@@ -436,7 +277,7 @@ int cmd_replay(const Args& args) {
                 result.mig_rolled_back, result.mig_timed_out, result.mig_degraded,
                 result.mig_retries);
   }
-  if (args.interference.enabled) {
+  if (cfg.interference.enabled) {
     std::printf("interference   : %zu heat updates, %zu passes, %zu hot hosts, "
                 "%zu evictions (%zu applied, %zu requested, %zu skipped)\n",
                 result.heat_updates, result.itf_passes, result.itf_hot_hosts,
@@ -462,24 +303,11 @@ int cmd_replay(const Args& args) {
 }
 
 int cmd_sweep(const Args& args) {
-  sim::ExperimentConfig cfg;
-  cfg.generator = generator_config(args);
-  cfg.mem_oversub = args.mem_oversub;
-  cfg.repetitions = args.repetitions;
-  cfg.parallelism = args.parallelism;
-  cfg.shards = args.shards;
-  cfg.use_index = args.use_index;
-  cfg.faults = args.faults;  // per-cell seed resolution happens in run_cell
-  cfg.trace_path = args.trace_path;  // optional: stream a real trace per cell
-  cfg.rebalance_interval = args.rebalance_s;
-  cfg.rebalance_budget = args.rebalance_budget;
-  cfg.migration = args.migration;
-  cfg.interference = args.interference;
   std::printf("dist,share1,share2,share3,baseline_pms,slackvm_pms,saving_pct,"
               "base_cpu_stranded,base_mem_stranded,slack_cpu_stranded,"
               "slack_mem_stranded\n");
-  for (const auto& cmp : sim::run_distribution_sweep(
-           workload::catalog_by_name(args.provider), cfg)) {
+  for (const auto& cmp :
+       sim::run_distribution_sweep(args.scenario.catalog(), args.scenario.config)) {
     const workload::LevelMix& mix = workload::distribution(cmp.distribution[0]);
     std::printf("%s,%.0f,%.0f,%.0f,%zu,%zu,%.2f,%.4f,%.4f,%.4f,%.4f\n",
                 cmp.distribution.c_str(), mix.share_1to1 * 100, mix.share_2to1 * 100,
@@ -492,21 +320,10 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_heatmap(const Args& args) {
-  sim::ExperimentConfig cfg;
-  cfg.generator = generator_config(args);
-  cfg.mem_oversub = args.mem_oversub;
-  cfg.repetitions = args.repetitions;
-  cfg.parallelism = args.parallelism;
-  cfg.shards = args.shards;
-  cfg.use_index = args.use_index;
-  cfg.faults = args.faults;
-  cfg.rebalance_interval = args.rebalance_s;
-  cfg.rebalance_budget = args.rebalance_budget;
-  cfg.migration = args.migration;
-  cfg.interference = args.interference;
+  const std::vector<sim::HeatmapCell> cells =
+      sim::run_savings_heatmap(args.scenario.catalog(), args.scenario.config);
   std::printf("pct_1to1,pct_2to1,pct_3to1,saving_pct\n");
-  for (const auto& cell :
-       sim::run_savings_heatmap(workload::catalog_by_name(args.provider), cfg)) {
+  for (const sim::HeatmapCell& cell : cells) {
     std::printf("%d,%d,%d,%.2f\n", cell.pct_1to1, cell.pct_2to1,
                 100 - cell.pct_1to1 - cell.pct_2to1, cell.saving_pct);
   }
