@@ -27,8 +27,10 @@
 //     fleets of 1k/10k/100k hosts, the verbatim naive fleet-copy pass vs
 //     the incremental scratch-column pass (the plan() dispatch), with the
 //     plans checked identical and the scratch pass's allocation count
-//     probed flat across warm passes. The naive pass is skipped above
-//     10k hosts (its per-attempt fleet snapshots are quadratic there).
+//     probed flat across warm passes. A counting scorer reports the
+//     deterministic number of score() calls per pass for both. The naive
+//     pass is skipped above 10k hosts (its per-attempt fleet snapshots are
+//     quadratic there).
 //
 //   micro_interference [--hosts N] [--iters N] [--vms N] [--plan-max N]
 //                      [--json]
@@ -40,8 +42,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -245,6 +249,30 @@ struct PlanCase {
   std::size_t migrations = 0;  ///< moves one pass plans on this fleet
   std::uint64_t allocs_pass2 = 0;  ///< operator-new calls, 2nd warm pass
   std::uint64_t allocs_pass3 = 0;  ///< ... 3rd warm pass (flat == equal)
+  std::size_t score_evals = 0;        ///< score() calls, one incremental pass
+  std::size_t naive_score_evals = 0;  ///< score() calls, one naive pass
+};
+
+/// Algorithm 2 with a count of every score it computes.
+class CountingScorer final : public sched::Scorer {
+ public:
+  explicit CountingScorer(std::size_t& evals) : evals_(&evals) {}
+  [[nodiscard]] double score(const sched::HostState& host,
+                             const core::VmSpec& spec) const override {
+    ++*evals_;
+    return inner_.score(host, spec);
+  }
+  [[nodiscard]] double score(const sched::HostCols& host,
+                             const core::VmSpec& spec) const override {
+    ++*evals_;
+    return inner_.score(host, spec);
+  }
+  [[nodiscard]] bool supports_cols() const noexcept override { return true; }
+  [[nodiscard]] std::string name() const override { return "counting"; }
+
+ private:
+  sched::ProgressScorer inner_;
+  std::size_t* evals_;
 };
 
 bool same_plan(const sched::MigrationPlan& a, const sched::MigrationPlan& b) {
@@ -294,6 +322,9 @@ PlanCase bench_plan(std::size_t hosts, std::size_t naive_cap, std::size_t reps) 
     }
     out.plans_identical = out.plans_identical && same_plan(reference, plan);
   }
+  const sched::Rebalancer counted(std::make_unique<CountingScorer>(out.score_evals));
+  out.plans_identical =
+      out.plans_identical && same_plan(reference, counted.plan(cl, kPlanBudget));
 
   // The naive pass copies the whole HostState fleet once per call plus once
   // per drain attempt — quadratic on big fleets, so it is capped.
@@ -309,6 +340,10 @@ PlanCase bench_plan(std::size_t hosts, std::size_t naive_cap, std::size_t reps) 
       }
       out.plans_identical = out.plans_identical && same_plan(reference, plan);
     }
+    const sched::Rebalancer counted_naive(
+        std::make_unique<CountingScorer>(out.naive_score_evals));
+    out.plans_identical = out.plans_identical &&
+                          same_plan(reference, counted_naive.plan_naive(cl, kPlanBudget));
   }
   return out;
 }
@@ -462,9 +497,10 @@ int main(int argc, char** argv) {
     std::printf(
         "    \"note\": \"one consolidation pass on a post-churn fleet (every "
         "host left with slack), verbatim naive fleet-copy pass vs the "
-        "incremental scratch-column pass; naive skipped past %zu hosts "
-        "(per-attempt fleet snapshots are quadratic); allocs_flat proves a "
-        "warm scratch pass allocates only the returned plan\",\n",
+        "incremental scratch-column pass; score_evals_per_pass counts the "
+        "score() calls of one pass (deterministic); naive skipped past %zu "
+        "hosts (per-attempt fleet snapshots are quadratic); allocs_flat "
+        "proves a warm scratch pass allocates only the returned plan\",\n",
         kNaiveCap);
     std::printf("    \"sizes\": [\n");
     for (std::size_t i = 0; i < plan_cases.size(); ++i) {
@@ -473,8 +509,11 @@ int main(int argc, char** argv) {
       std::printf("        \"hosts\": %zu,\n", pc.hosts);
       std::printf("        \"migrations_per_pass\": %zu,\n", pc.migrations);
       std::printf("        \"scratch_ns_per_pass\": %.0f,\n", pc.scratch_ns);
+      std::printf("        \"score_evals_per_pass\": %zu,\n", pc.score_evals);
       if (pc.naive_measured) {
         std::printf("        \"naive_ns_per_pass\": %.0f,\n", pc.naive_ns);
+        std::printf("        \"naive_score_evals_per_pass\": %zu,\n",
+                    pc.naive_score_evals);
         std::printf("        \"speedup\": %.1f,\n",
                     pc.scratch_ns > 0 ? pc.naive_ns / pc.scratch_ns : 0.0);
       } else {
@@ -524,9 +563,11 @@ int main(int argc, char** argv) {
     if (pc.naive_measured) {
       std::printf(
           "  %6zu hosts: scratch %.0f ns/pass, naive %.0f ns/pass "
-          "(%.1fx), %zu moves, allocs %llu/%llu %s, plans %s\n",
+          "(%.1fx), %zu vs %zu scores, %zu moves, allocs %llu/%llu %s, "
+          "plans %s\n",
           pc.hosts, pc.scratch_ns, pc.naive_ns,
-          pc.scratch_ns > 0 ? pc.naive_ns / pc.scratch_ns : 0.0, pc.migrations,
+          pc.scratch_ns > 0 ? pc.naive_ns / pc.scratch_ns : 0.0, pc.score_evals,
+          pc.naive_score_evals, pc.migrations,
           static_cast<unsigned long long>(pc.allocs_pass2),
           static_cast<unsigned long long>(pc.allocs_pass3),
           pc.allocs_pass2 == pc.allocs_pass3 ? "(flat)" : "(NOT FLAT)",
@@ -534,8 +575,8 @@ int main(int argc, char** argv) {
     } else {
       std::printf(
           "  %6zu hosts: scratch %.0f ns/pass (naive skipped: quadratic), "
-          "%zu moves, allocs %llu/%llu %s\n",
-          pc.hosts, pc.scratch_ns, pc.migrations,
+          "%zu scores, %zu moves, allocs %llu/%llu %s\n",
+          pc.hosts, pc.scratch_ns, pc.score_evals, pc.migrations,
           static_cast<unsigned long long>(pc.allocs_pass2),
           static_cast<unsigned long long>(pc.allocs_pass3),
           pc.allocs_pass2 == pc.allocs_pass3 ? "(flat)" : "(NOT FLAT)");

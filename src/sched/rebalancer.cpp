@@ -1,6 +1,7 @@
 #include "sched/rebalancer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 
 #include "core/error.hpp"
@@ -217,7 +218,17 @@ MigrationPlan Rebalancer::plan_interference_naive(
 // --- PlanScratch: columnar planning state ----------------------------------
 
 void Rebalancer::PlanScratch::load(const HostArena& arena) {
-  const auto assign = [](auto& dst, auto src) { dst.assign(src.begin(), src.end()); };
+  // Columns grow geometrically: the fleet opens hosts between passes, and an
+  // assign past capacity would allocate the exact size every time.
+  const auto reserve = [](auto& dst, std::size_t size) {
+    if (dst.capacity() < size) {
+      dst.reserve(std::max(size, 2 * dst.capacity()));
+    }
+  };
+  const auto assign = [&reserve](auto& dst, auto src) {
+    reserve(dst, src.size());
+    dst.assign(src.begin(), src.end());
+  };
   assign(phase, arena.phase_col());
   assign(alloc_cores, arena.alloc_cores_col());
   assign(committed_mem, arena.committed_mem_col());
@@ -232,7 +243,9 @@ void Rebalancer::PlanScratch::load(const HostArena& arena) {
   for (HostId h = 0; h < n; ++h) {
     quantized_heat[h] = arena.quantized_heat(h);
   }
+  reserve(attempted, n);
   attempted.assign(n, 0);
+  reserve(emptied, n);
   emptied.assign(n, 0);
   // Reset only what the previous pass touched; everything else is already
   // clear, so a warm pass does no O(fleet) flag sweeps beyond the assigns.
@@ -243,17 +256,15 @@ void Rebalancer::PlanScratch::load(const HostArena& arena) {
   }
   shifted_list.clear();
   shifted.resize(n, 0);
-  for (const HostId h : gained_list) {
-    if (h < gained.size()) {
-      gained[h].clear();
-    }
-  }
-  gained_list.clear();
-  gained.resize(n);
+  reserve(last_gain, n);
+  last_gain.assign(n, kNoMove);
   source_vms.clear();
-  drain.clear();
   undo.clear();
   count_heap.clear();
+  classes.clear();
+  dirty.clear();
+  tree_width = std::bit_ceil(std::max<std::size_t>(n, 1));
+  drain_source = kNoHost;
 }
 
 bool Rebalancer::PlanScratch::can_host(HostId host,
@@ -306,25 +317,25 @@ void Rebalancer::PlanScratch::apply_move_cols(const core::VmSpec& spec,
 void Rebalancer::PlanScratch::move_vm(core::VmId vm, const core::VmSpec& spec,
                                       HostId from, HostId to) {
   apply_move_cols(spec, from, to);
-  if (gained[to].empty()) {
-    gained_list.push_back(to);
-  }
-  gained[to].emplace_back(vm, spec);
-  undo.push_back(Undo{vm, spec, from, to});
+  undo.push_back(Undo{vm, spec, from, to, last_gain[to]});
+  last_gain[to] = undo.size() - 1;
 }
 
 void Rebalancer::PlanScratch::roll_back_to(std::size_t mark) {
   while (undo.size() > mark) {
     const Undo& last = undo.back();
     apply_move_cols(last.spec, last.to, last.from);
-    gained[last.to].pop_back();  // LIFO: the entry this very move appended
+    last_gain[last.to] = last.prev_gain;
     undo.pop_back();
   }
 }
 
 void Rebalancer::PlanScratch::collect_source_vms(const HostState& source) {
-  // Both inputs ascend by VmId once the (move-ordered) gains are sorted.
-  gained_sorted.assign(gained[source.id()].begin(), gained[source.id()].end());
+  // Both inputs ascend by VmId once the gains (newest first) are sorted.
+  gained_sorted.clear();
+  for (std::size_t i = last_gain[source.id()]; i != kNoMove; i = undo[i].prev_gain) {
+    gained_sorted.emplace_back(undo[i].vm, undo[i].spec);
+  }
   std::ranges::sort(gained_sorted, {}, &HostedVm::first);
   source_vms.resize(source.vm_count() + gained_sorted.size());
   std::ranges::merge(source.vms(), gained_sorted, source_vms.begin(), {},
@@ -336,6 +347,70 @@ void Rebalancer::PlanScratch::mark_shifted(HostId host) {
     shifted[host] = 1;
     shifted_list.push_back(host);
   }
+}
+
+void Rebalancer::PlanScratch::begin_drain(HostId source) {
+  if (drain_source != kNoHost) {
+    dirty.push_back(drain_source);
+  }
+  dirty.push_back(source);
+  drain_source = source;
+}
+
+Rebalancer::PlanScratch::Winner Rebalancer::PlanScratch::leaf(
+    HostId host, const core::VmSpec& spec, const Scorer& scorer) const {
+  if (host == drain_source || emptied[host] || !can_host(host, spec)) {
+    return Winner{};
+  }
+  return Winner{scorer.score(cols(host), spec), host};
+}
+
+std::optional<HostId> Rebalancer::PlanScratch::best_target(const core::VmSpec& spec,
+                                                           const Scorer& scorer) {
+  const std::size_t span = 2 * tree_width;
+  const auto found = std::ranges::find_if(classes, [&spec](const SpecClass& c) {
+    return c.spec.vcpus == spec.vcpus && c.spec.mem_mib == spec.mem_mib &&
+           c.spec.level == spec.level;
+  });
+  const auto slot = static_cast<std::size_t>(found - classes.begin());
+  if (found == classes.end()) {
+    // First use this pass: seed every leaf from the columns as they stand,
+    // so the log so far is already reflected.
+    classes.push_back(SpecClass{spec, dirty.size()});
+    const std::size_t needed = classes.size() * span;
+    if (winners.size() < needed) {
+      winners.resize(std::max(needed, 2 * winners.size()));
+    }
+    Winner* tree = &winners[slot * span];
+    const std::size_t n = size();
+    for (HostId h = 0; h < n; ++h) {
+      tree[tree_width + h] = leaf(h, spec, scorer);
+    }
+    std::fill(tree + tree_width + n, tree + span, Winner{});
+    for (std::size_t i = tree_width; --i > 0;) {
+      tree[i] = better(tree[2 * i], tree[2 * i + 1]);
+    }
+  } else {
+    // Replay the log past the cursor: each entry re-derives one leaf from
+    // the current state and re-plays its path until a node comes out
+    // unchanged (its ancestors then cannot change either).
+    Winner* tree = &winners[slot * span];
+    for (std::size_t& cursor = found->synced; cursor < dirty.size(); ++cursor) {
+      const HostId h = dirty[cursor];
+      Winner next = leaf(h, spec, scorer);
+      for (std::size_t i = tree_width + h; i > 0; i /= 2) {
+        if (i < tree_width) {
+          next = better(tree[2 * i], tree[2 * i + 1]);
+        }
+        if (next.host == tree[i].host && next.score == tree[i].score) {
+          break;
+        }
+        tree[i] = next;
+      }
+    }
+  }
+  const Winner& root = winners[slot * span + 1];
+  return root.host == kNoHost ? std::nullopt : std::optional<HostId>{root.host};
 }
 
 // --- incremental passes -----------------------------------------------------
@@ -356,7 +431,10 @@ MigrationPlan Rebalancer::plan_incremental(const VCluster& cluster,
   }
   std::ranges::make_heap(s.count_heap, PlanScratch::count_entry_after);
 
-  while (plan.migrations.size() < max_migrations) {
+  // Committed drains are never undone, so the undo log's first `planned`
+  // entries are the plan's moves in order; it is copied out once at the end.
+  std::size_t planned = 0;
+  while (planned < max_migrations) {
     // Lazy-deletion pop: entries whose count moved on (or whose host was
     // already tried) are dropped as they surface. Committed drains only ever
     // *grow* a host's count — failed ones roll back to a count whose entry
@@ -380,46 +458,44 @@ MigrationPlan Rebalancer::plan_incremental(const VCluster& cluster,
     }
     const HostId source = *candidate;
     s.attempted[source] = 1;
-    if (s.vm_count[source] > max_migrations - plan.migrations.size()) {
+    if (s.vm_count[source] > max_migrations - planned) {
       break;  // even the cheapest drain exceeds the budget
     }
+    s.begin_drain(source);
 
     // A host drains as a source at most once and planning is the only
     // writer, so its membership is the live map plus whatever this pass
     // already moved in.
     s.collect_source_vms(live[source]);
     const std::size_t undo_mark = s.undo.size();
-    s.drain.clear();
     bool drained = true;
     for (const auto& [vm, spec] : s.source_vms) {
-      std::optional<HostId> best;
-      double best_score = 0.0;
-      for (HostId h = 0; h < static_cast<HostId>(n); ++h) {
-        if (h == source || s.emptied[h] || !s.can_host(h, spec)) {
-          continue;
-        }
-        const double score = scorer_->score(s.cols(h), spec);
-        if (!best || score > best_score) {
-          best = h;
-          best_score = score;
-        }
-      }
+      const std::optional<HostId> best = s.best_target(spec, *scorer_);
       if (!best) {
         drained = false;
         break;
       }
       s.move_vm(vm, spec, source, *best);
+      s.dirty.push_back(*best);
       s.count_heap.push_back(PlanScratch::CountEntry{s.vm_count[*best], *best});
       std::ranges::push_heap(s.count_heap, PlanScratch::count_entry_after);
-      s.drain.push_back(Migration{vm, source, *best});
     }
     if (!drained) {
-      s.roll_back_to(undo_mark);  // undo the partial drain, try next host
+      // Undo the partial drain and try the next host; the targets' leaves
+      // go stale again as their columns revert.
+      for (std::size_t i = undo_mark; i < s.undo.size(); ++i) {
+        s.dirty.push_back(s.undo[i].to);
+      }
+      s.roll_back_to(undo_mark);
       continue;
     }
     s.emptied[source] = 1;
-    plan.migrations.insert(plan.migrations.end(), s.drain.begin(), s.drain.end());
+    planned = s.undo.size();
     ++plan.hosts_emptied;
+  }
+  plan.migrations.reserve(planned);
+  for (const PlanScratch::Undo& move : s.undo) {
+    plan.migrations.push_back(Migration{move.vm, move.from, move.to});
   }
   return plan;
 }

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "sched/scorer.hpp"
@@ -80,10 +81,11 @@ class Rebalancer {
   /// The cluster is not modified.
   ///
   /// Runs the incremental PlanScratch path (columnar copy of the arena,
-  /// per-attempt undo logs, lazy vm-count min-heap — allocation-free once
-  /// warm) when the cluster's index machinery is enabled and the scorer
-  /// supports columnar scoring; otherwise the verbatim naive pass below.
-  /// Both produce the bit-identical plan (differential-tested).
+  /// per-attempt undo logs, lazy vm-count min-heap, one winner tree of drain
+  /// targets per spec class) when the cluster's index machinery is enabled
+  /// and the scorer supports columnar scoring; otherwise the verbatim naive
+  /// pass below. Both produce the bit-identical plan (differential-tested)
+  /// as long as the scorer never returns NaN.
   [[nodiscard]] MigrationPlan plan(const VCluster& cluster,
                                    std::size_t max_migrations) const;
 
@@ -124,23 +126,50 @@ class Rebalancer {
   /// Reusable columnar planning state. One pass copies the arena columns in
   /// (vector assigns into retained capacity — no allocations once warm) and
   /// plans against them; rollback replays a per-attempt undo log instead of
-  /// re-copying the fleet. `gained` tracks VMs planning moved *onto* a host
-  /// so source enumeration stays live-map ∪ gained (a host is drained as a
-  /// source at most once, so nothing ever needs to be subtracted).
+  /// re-copying the fleet. The log also threads, per host, the moves this
+  /// pass made *onto* it (`last_gain`), so source enumeration stays
+  /// live-map ∪ gained (a host is drained as a source at most once, so
+  /// nothing ever needs to be subtracted).
+  ///
+  /// Drain targets come from one winner tree per spec class met this pass:
+  /// leaf h holds score(cols(h), spec) when h could take the spec (not the
+  /// drain source, not emptied, can_host), each inner node the better
+  /// child — higher score, ties to the lower HostId — so the root is the
+  /// naive scan's pick. Every host whose leaf may have changed is appended
+  /// to `dirty`; a class replays the log entries past its cursor before it
+  /// answers (see DESIGN.md §5 "Consolidation planner").
   struct PlanScratch {
     static constexpr std::size_t kLevels = HostArena::kLevels;
+    static constexpr HostId kNoHost = ~HostId{0};
+    static constexpr std::size_t kNoMove = ~std::size_t{0};
 
-    /// One tentative move, reversed in LIFO order on a failed drain.
+    /// One tentative move, reversed in LIFO order on a failed drain; the
+    /// consolidation pass's committed moves are its plan.
     struct Undo {
       core::VmId vm{};
       core::VmSpec spec;
       HostId from = 0;
       HostId to = 0;
+      std::size_t prev_gain = kNoMove;  ///< the previous move onto `to`
     };
     /// Lazy min-heap entry: valid while vm_count[host] == count.
     struct CountEntry {
       std::uint32_t count = 0;
       HostId host = 0;
+    };
+    /// Winner-tree node: the best drain target in a subtree for one spec
+    /// class, or host == kNoHost when no host there can take it.
+    struct Winner {
+      double score = 0.0;
+      HostId host = kNoHost;
+    };
+    /// A spec class — one (vcpus, mem_mib, level) shape, usage ignored as
+    /// in PlacementIndex — met this pass. Its tree is the 2 * tree_width
+    /// nodes at winners[slot * 2 * tree_width] (root at offset 1, leaf h at
+    /// tree_width + h); dirty[0, synced) is already applied to it.
+    struct SpecClass {
+      core::VmSpec spec;
+      std::size_t synced = 0;
     };
 
     // Columns copied from the arena at the top of every pass.
@@ -160,13 +189,16 @@ class Rebalancer {
     std::vector<std::uint8_t> emptied;
     std::vector<std::uint8_t> shifted;  ///< heat/cols diverged from the index view
     std::vector<HostId> shifted_list;
-    std::vector<std::vector<HostedVm>> gained;  ///< in move order
-    std::vector<HostId> gained_list;  ///< hosts with non-empty gained entries
+    std::vector<std::size_t> last_gain;  ///< per host: latest move onto it
     std::vector<HostedVm> gained_sorted;  ///< one source's gains, by VmId
     std::vector<HostedVm> source_vms;
-    std::vector<Migration> drain;
     std::vector<Undo> undo;
     std::vector<CountEntry> count_heap;
+    std::vector<SpecClass> classes;  ///< this pass's, in first-met order
+    std::vector<Winner> winners;     ///< pooled trees; grows geometrically
+    std::vector<HostId> dirty;       ///< hosts whose leaves may be stale
+    std::size_t tree_width = 1;      ///< leaves per tree: bit_ceil(size())
+    HostId drain_source = kNoHost;   ///< excluded from every tree
 
     /// Min-heap "after" relation: lowest (count, host) surfaces first —
     /// exactly the naive scan's fewest-VMs-ties-to-lowest-id candidate.
@@ -186,14 +218,35 @@ class Rebalancer {
     /// Shift one spec between two hosts' columns (the exact incremental
     /// integer-core arithmetic of HostState::add/remove).
     void apply_move_cols(const core::VmSpec& spec, HostId from, HostId to) noexcept;
-    /// Apply one tentative move to the columns + gained lists; logs an Undo.
+    /// Apply one tentative move to the columns; logs an Undo.
     void move_vm(core::VmId vm, const core::VmSpec& spec, HostId from, HostId to);
-    /// Reverse every move logged past `mark`, restoring columns and gained.
+    /// Reverse every move logged past `mark`, restoring columns and gains.
     void roll_back_to(std::size_t mark);
     /// Live-map ∪ gained membership of `source`, ascending VmId: a merge
     /// of the host's own ascending VMs with its sorted gains.
     void collect_source_vms(const HostState& source);
     void mark_shifted(HostId host);
+
+    /// Make `source` the host every tree excludes; logs it and the previous
+    /// source (whose exclusion ends, and whose columns a drain may have
+    /// changed).
+    void begin_drain(HostId source);
+    /// Best target for `spec` — the class's tree root, seeded from the
+    /// columns on first use this pass and brought up to date from `dirty`.
+    [[nodiscard]] std::optional<HostId> best_target(const core::VmSpec& spec,
+                                                    const Scorer& scorer);
+    [[nodiscard]] Winner leaf(HostId host, const core::VmSpec& spec,
+                              const Scorer& scorer) const;
+    /// Higher score wins; ties (and a missing right side) keep the left,
+    /// lower-id subtree — the naive ascending strict-> scan's order.
+    [[nodiscard]] static Winner better(const Winner& left,
+                                       const Winner& right) noexcept {
+      if (right.host == kNoHost ||
+          (left.host != kNoHost && !(right.score > left.score))) {
+        return left;
+      }
+      return right;
+    }
   };
 
   [[nodiscard]] MigrationPlan plan_incremental(const VCluster& cluster,

@@ -44,7 +44,9 @@ struct HostCols {
 };
 
 /// Interface of a soft-constraint scorer; higher is better. Implementations
-/// may assume the host already passed the capacity filter.
+/// may assume the host already passed the capacity filter, and must read the
+/// spec's shape only (vcpus, mem_mib, level — never usage): PlacementIndex
+/// and the consolidation planner share one ranking per shape.
 class Scorer {
  public:
   virtual ~Scorer() = default;

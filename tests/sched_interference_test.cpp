@@ -497,6 +497,172 @@ TEST(PlanDifferential, TenThousandEventChurnMatchesNaivePasses) {
   }
 }
 
+TEST(PlanDifferential, TieHeavyFleetMatchesNaiveMoveForMove) {
+  // The winner trees must pick exactly the naive scan's target, ties
+  // included. A homogeneous first-fit fleet is grown in floods of one
+  // shape and thinned in the same pattern, so the fresh hosts of a flood —
+  // and every empty host — score identically and only the lowest-HostId
+  // tie-break tells them apart. On top: 60 (vcpus, mem, level) shapes,
+  // DOWN and DRAINING hosts, whole-host VMs that make a drain fail on its
+  // first VM (or mid-way, behind smaller VMs of the same host, after which
+  // that host must be a valid target again), and budgets large enough that
+  // hosts emptied earlier in a pass must stop receiving moves.
+  VCluster cluster("plan-ties", kWorker, sched::make_first_fit());
+  const sched::Rebalancer rebalancer;
+  core::SplitMix64 rng(0x71e5ULL);
+  std::vector<VmId> live;
+  std::uint64_t next_id = 1;
+  const auto random_spec = [&rng] {
+    static constexpr core::VcpuCount kVcpus[] = {1, 2, 4, 8};
+    static constexpr std::int64_t kMemGib[] = {1, 2, 4, 8, 16};
+    return make_spec(kVcpus[rng.below(4)], gib(kMemGib[rng.below(5)]),
+                     static_cast<std::uint8_t>(1 + rng.below(3)));
+  };
+  const auto place = [&](const VmSpec& spec) {
+    const VmId id{next_id++};
+    if (cluster.try_place(id, spec)) {
+      live.push_back(id);
+    }
+  };
+  const auto remove_at = [&](std::size_t pick) {
+    cluster.remove(live[pick]);
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+  };
+  std::size_t checkpoints = 0;
+  for (int round = 0; round < 60; ++round) {
+    // Flood one shape, then thin it with a fixed stride: the hosts the
+    // flood opened end up holding identical VM sets.
+    const VmSpec flood = random_spec();
+    const std::size_t first = live.size();
+    for (int i = 0; i < 48; ++i) {
+      place(flood);
+    }
+    for (std::size_t i = live.size(); i > first; --i) {
+      if ((i - first) % 3 == 0) {
+        remove_at(i - 1);
+      }
+    }
+    for (int i = 0; i < 12; ++i) {
+      place(random_spec());
+    }
+    // A whole-host VM (32 vCPUs at 1:1): it can only move onto an empty UP
+    // host, so its host's drain fails unless one is left.
+    if (rng.below(3) == 0) {
+      place(make_spec(32, gib(4), 1));
+    }
+    for (std::size_t i = 0; i < 10 && !live.empty(); ++i) {
+      remove_at(rng.below(live.size()));
+    }
+    // Empty whole hosts now and then, so empty UP hosts tie too.
+    if (rng.below(4) == 0 && cluster.opened_hosts() > 0) {
+      const auto host = static_cast<HostId>(rng.below(cluster.opened_hosts()));
+      if (cluster.host_phase(host) == sched::HostPhase::kUp) {
+        std::vector<VmId> on_host;
+        for (const auto& [vm, spec] : cluster.hosts()[host].vms()) {
+          on_host.push_back(vm);
+        }
+        for (const VmId vm : on_host) {
+          cluster.remove(vm);
+          std::erase(live, vm);
+        }
+      }
+    }
+    if (cluster.opened_hosts() > 0) {
+      const auto host = static_cast<HostId>(rng.below(cluster.opened_hosts()));
+      switch (cluster.host_phase(host)) {
+        case sched::HostPhase::kUp:
+          if (rng.below(2) == 0) {
+            for (const auto& [vm, spec] : cluster.fail_host(host)) {
+              std::erase(live, vm);
+            }
+          } else {
+            cluster.drain_host(host);
+          }
+          break;
+        default:
+          cluster.repair_host(host);
+          break;
+      }
+    }
+    ASSERT_TRUE(cluster.index_enabled());
+    for (const std::size_t budget : {std::size_t{1}, std::size_t{8},
+                                     std::size_t{32}, std::size_t{100000}}) {
+      SCOPED_TRACE("round " + std::to_string(round) + " budget " +
+                   std::to_string(budget));
+      expect_same_plan(rebalancer.plan(cluster, budget),
+                       rebalancer.plan_naive(cluster, budget));
+      ++checkpoints;
+    }
+  }
+  EXPECT_EQ(checkpoints, 240U);
+  EXPECT_GT(cluster.opened_hosts(), 100U);
+  EXPECT_TRUE(sim::audit(cluster).empty());
+}
+
+/// Progress scorer that counts every score it computes, columnar or not.
+class CountingScorer final : public sched::Scorer {
+ public:
+  explicit CountingScorer(std::size_t& evals) : evals_(&evals) {}
+  [[nodiscard]] double score(const sched::HostState& host,
+                             const VmSpec& spec) const override {
+    ++*evals_;
+    return inner_.score(host, spec);
+  }
+  [[nodiscard]] double score(const sched::HostCols& host,
+                             const VmSpec& spec) const override {
+    ++*evals_;
+    return inner_.score(host, spec);
+  }
+  [[nodiscard]] bool supports_cols() const noexcept override { return true; }
+  [[nodiscard]] std::string name() const override { return "counting"; }
+
+ private:
+  sched::ProgressScorer inner_;
+  std::size_t* evals_;
+};
+
+TEST(PlanDifferential, WinnerTreesScoreAFractionOfTheFleetScan) {
+  // 2000+ full hosts (eight 4-vCPU/16-GiB VMs at 1:1) thinned to six VMs,
+  // plus a sprinkle of other shapes: many drains, each VM rescored against
+  // the whole fleet by the old scan. The winner trees score each shape's
+  // hosts once per pass plus the hosts a move or rollback touched.
+  VCluster cluster("plan-count", kWorker, sched::make_first_fit());
+  std::uint64_t next_id = 1;
+  std::vector<VmId> flood;
+  for (int i = 0; i < 8 * 2048; ++i) {
+    const VmId id{next_id++};
+    cluster.place(id, make_spec(4, gib(16), 1));
+    flood.push_back(id);
+  }
+  for (std::size_t i = 0; i < flood.size(); ++i) {
+    if (i % 8 == 3 || i % 8 == 6) {
+      cluster.remove(flood[i]);
+    }
+  }
+  core::SplitMix64 rng(0xc0deULL);
+  for (int i = 0; i < 400; ++i) {
+    (void)cluster.try_place(
+        VmId{next_id++},
+        make_spec(static_cast<core::VcpuCount>(1 + rng.below(4)),
+                  gib(static_cast<std::int64_t>(1 + rng.below(8))),
+                  static_cast<std::uint8_t>(1 + rng.below(3))));
+  }
+  ASSERT_GE(cluster.opened_hosts(), 2000U);
+  ASSERT_TRUE(cluster.index_enabled());
+
+  std::size_t tree_evals = 0;
+  std::size_t scan_evals = 0;
+  const sched::Rebalancer trees(std::make_unique<CountingScorer>(tree_evals));
+  const sched::Rebalancer scan(std::make_unique<CountingScorer>(scan_evals));
+  const sched::MigrationPlan planned = trees.plan(cluster, 64);
+  const sched::MigrationPlan reference = scan.plan_naive(cluster, 64);
+  expect_same_plan(planned, reference);
+  EXPECT_GT(planned.migrations.size(), 16U);
+  EXPECT_GT(scan_evals, 0U);
+  EXPECT_LT(tree_evals * 4, scan_evals)
+      << tree_evals << " tree scores vs " << scan_evals << " scan scores";
+}
+
 TEST(HeatCacheDifferential, ChurnedHeatTicksMatchUncachedSampling) {
   // Mirror-churned clusters, one refreshing heat through the DemandCache,
   // one through the naive per-tick sampling: every host's raw heat must

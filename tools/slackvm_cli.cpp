@@ -12,7 +12,9 @@
 //
 // Options: every scenario knob (sim/scenario.hpp) with a flag, plus
 // --policy, --mode, --file, --out and --watchdog-s; `slackvm` without
-// arguments lists them all.
+// arguments lists them all. --policy and --mode are read by replay only, and
+// run-scenario takes every knob from its file: giving them elsewhere is an
+// error, not a silent no-op.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -91,6 +93,9 @@ std::optional<Args> parse_args(int argc, char** argv) {
   Args args;
   args.command = argv[1];
   const auto knobs = sim::knobs();
+  // The first flag given that the subcommand would not read.
+  std::string replay_only_flag;
+  std::string knob_flag;
   for (int i = 2; i < argc; ++i) {
     const std::string key = argv[i];
     auto value = [&]() -> std::string {
@@ -101,8 +106,10 @@ std::optional<Args> parse_args(int argc, char** argv) {
     };
     if (key == "--policy") {
       args.policy = value();
+      replay_only_flag = replay_only_flag.empty() ? key : replay_only_flag;
     } else if (key == "--mode") {
       args.mode = value();
+      replay_only_flag = replay_only_flag.empty() ? key : replay_only_flag;
     } else if (key == "--file") {
       args.file_path = value();
     } else if (key == "--out") {
@@ -121,9 +128,18 @@ std::optional<Args> parse_args(int argc, char** argv) {
       if (!knob->parse(args.scenario, text)) {
         throw core::SlackError(key + " " + knob->requirement() + ", got '" + text + "'");
       }
+      knob_flag = knob_flag.empty() ? key : knob_flag;
     } else {
       throw core::SlackError("unknown option " + key);
     }
+  }
+  if (!replay_only_flag.empty() && args.command != "replay") {
+    throw core::SlackError(replay_only_flag + " is read by replay only, not by " +
+                           args.command);
+  }
+  if (!knob_flag.empty() && args.command == "run-scenario") {
+    throw core::SlackError("run-scenario reads every knob from --file; drop " +
+                           knob_flag + " or set its key in the scenario");
   }
   sim::check_knobs(args.scenario, sim::KnobName::kFlag);
   return args;

@@ -20,11 +20,12 @@
 //               [--horizon-days D] [--lifetime-days D]
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "core/error.hpp"
+#include "sim/scenario.hpp"
 #include "workload/catalog.hpp"
 #include "workload/generator.hpp"
 #include "workload/level_mix.hpp"
@@ -40,6 +41,32 @@ int usage() {
                "       [--provider azure|ovhcloud] [--dist A..O] [--seed N]\n"
                "       [--horizon-days D] [--lifetime-days D]\n");
   return 2;
+}
+
+/// Exit with status 2 and a message naming the flag.
+[[noreturn]] void reject(const std::string& key, const std::string& requirement,
+                         const char* text) {
+  std::fprintf(stderr, "trace_synth: %s must be %s, got '%s'\n", key.c_str(),
+               requirement.c_str(), text);
+  std::exit(2);
+}
+
+/// The whole token as a base-10 integer >= min (no sign), else reject().
+std::uint64_t integer_flag(const std::string& key, const char* text, std::uint64_t min) {
+  const std::optional<std::uint64_t> value = sim::parse_number<std::uint64_t>(text);
+  if (!value || *value < min) {
+    reject(key, min == 0 ? "an integer" : "an integer >= " + std::to_string(min), text);
+  }
+  return *value;
+}
+
+/// The whole token as a finite number > 0, else reject().
+double positive_flag(const std::string& key, const char* text) {
+  const std::optional<double> value = sim::parse_number<double>(text);
+  if (!value || !(*value > 0)) {
+    reject(key, "a number > 0", text);
+  }
+  return *value;
 }
 
 }  // namespace
@@ -64,13 +91,17 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (key == "--rows") {
-      rows = std::strtoull(value(), nullptr, 10);
+      rows = integer_flag(key, value(), 1);
     } else if (key == "--out") {
       out_path = value();
     } else if (key == "--provider") {
       provider = value();
     } else if (key == "--dist") {
-      dist = value()[0];
+      const char* text = value();
+      if (std::string(text).size() != 1) {
+        reject(key, "one letter A..O", text);
+      }
+      dist = text[0];
     } else if (key == "--format") {
       const std::string v = value();
       if (v == "native") {
@@ -82,16 +113,16 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (key == "--seed") {
-      seed = std::strtoull(value(), nullptr, 10);
+      seed = integer_flag(key, value(), 0);
     } else if (key == "--horizon-days") {
-      horizon_days = std::strtod(value(), nullptr);
+      horizon_days = positive_flag(key, value());
     } else if (key == "--lifetime-days") {
-      lifetime_days = std::strtod(value(), nullptr);
+      lifetime_days = positive_flag(key, value());
     } else {
       return usage();
     }
   }
-  if (out_path.empty() || rows == 0) {
+  if (out_path.empty()) {
     return usage();
   }
 
