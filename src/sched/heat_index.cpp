@@ -19,10 +19,11 @@ void HeatIndex::sync(std::span<const HostState> hosts) {
 void HeatIndex::rebuild(std::span<const HostState> hosts) {
   cached_.clear();
   buckets_.clear();
+  occupied_ = HostBitset{};
   dirty_.clear();
   indexed_ = 0;
   width_ = 0.0;
-  mixed_width_ = false;
+  ordered_ = true;
   for (const HostState& host : hosts) {
     update(host);
   }
@@ -34,12 +35,12 @@ void HeatIndex::update(const HostState& host) {
     if (width_ == 0.0) {
       width_ = width;
     } else if (width_ != width) {
-      mixed_width_ = true;
+      ordered_ = false;
     }
   } else if (host.heat() != 0.0) {
     // Heat written with quantization disabled: the bucket (pinned at 0) no
     // longer bounds the raw value.
-    mixed_width_ = true;
+    ordered_ = false;
   }
   const HostId id = host.id();
   if (id >= cached_.size()) {
@@ -50,32 +51,45 @@ void HeatIndex::update(const HostState& host) {
     return;  // the bucket cannot have moved without an epoch bump
   }
   const Bucket bucket = host.heat_bucket();
+  if (bucket >= kMaxBuckets) {
+    // Filed in the last slot, which then holds more than one bucket.
+    ordered_ = false;
+  }
   if (cached.present && cached.bucket == bucket) {
     cached.epoch = host.epoch();  // epoch moved, bucket did not: refile-free
     return;
   }
   if (cached.present) {
-    const auto it = buckets_.find(cached.bucket);
-    it->second.erase(id);
-    if (it->second.empty()) {
-      buckets_.erase(it);
-    }
+    unfile(id, cached.bucket);
   } else {
     ++indexed_;
   }
-  buckets_[bucket].insert(id);
+  file(id, bucket);
   cached = Cached{host.epoch(), bucket, true};
+}
+
+void HeatIndex::file(HostId host, Bucket bucket) {
+  const Bucket s = slot(bucket);
+  if (s >= buckets_.size()) {
+    buckets_.resize(std::size_t{s} + 1);
+  }
+  buckets_[s].set(host);
+  occupied_.set(s);
+}
+
+void HeatIndex::unfile(HostId host, Bucket bucket) {
+  const Bucket s = slot(bucket);
+  buckets_[s].reset(host);
+  if (buckets_[s].empty()) {
+    occupied_.reset(s);
+  }
 }
 
 void HeatIndex::erase(HostId host) {
   if (host >= cached_.size() || !cached_[host].present) {
     return;
   }
-  const auto it = buckets_.find(cached_[host].bucket);
-  it->second.erase(host);
-  if (it->second.empty()) {
-    buckets_.erase(it);
-  }
+  unfile(host, cached_[host].bucket);
   cached_[host].present = false;
   --indexed_;
 }
@@ -87,21 +101,21 @@ std::vector<std::string> HeatIndex::check(std::span<const HostState> hosts) cons
                   " hosts but cluster has " + std::to_string(hosts.size()));
   }
   std::size_t filed = 0;
-  for (const auto& [bucket, ids] : buckets_) {
-    filed += ids.size();
-    for (const HostId id : ids) {
+  visit(Order::kCoolestFirst, [&](Bucket bucket, const HostBitset& ids) {
+    ids.for_each([&](HostId id) {
+      ++filed;
       if (id >= hosts.size()) {
         out.push_back("heat index bucket " + std::to_string(bucket) +
                       " files unknown host " + std::to_string(id));
-        continue;
+        return;
       }
-      if (hosts[id].heat_bucket() != bucket) {
+      if (slot(hosts[id].heat_bucket()) != bucket) {
         out.push_back("heat index host " + std::to_string(id) + ": bucket " +
                       std::to_string(bucket) + " != " +
                       std::to_string(hosts[id].heat_bucket()));
       }
-    }
-  }
+    });
+  });
   if (filed != indexed_) {
     out.push_back("heat index size " + std::to_string(indexed_) +
                   " != filed entries " + std::to_string(filed));

@@ -4,12 +4,13 @@
 // Rebalancer::plan_interference needs, per eviction, the hottest untried UP
 // host and the coolest strictly-cooler host that fits the victim. The naive
 // pass answers both with O(hosts) scans of a fleet copy. This index keeps
-// every host filed under its quantized heat bucket (HostState::heat_bucket)
-// in an ordered map of ordered id sets, so the planner streams buckets from
-// either end and stops at the first bucket that yields an eligible host —
-// raw heats within a bucket span [b*w, (b+1)*w), so no host in a farther
-// bucket can beat a candidate found in a nearer one, and equal heats always
-// share a bucket (ties stay id-ordered).
+// every host filed under its quantized heat bucket (HostState::heat_bucket):
+// a dense vector of per-bucket HostBitsets, plus a HostBitset of the
+// occupied buckets. The planner visits buckets from either end (ids
+// ascending within each) and stops at the first one that yields an eligible
+// host — raw heats within a bucket span [b*w, (b+1)*w), so no host in a
+// farther bucket can beat a candidate found in a nearer one, and equal heats
+// always share a bucket (ties stay id-ordered).
 //
 // Maintenance rides the exact epoch + dirty-log protocol of
 // sched/placement_index.hpp:
@@ -29,12 +30,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "sched/host_bitset.hpp"
 #include "sched/host_state.hpp"
 
 namespace slackvm::sched {
@@ -42,6 +42,13 @@ namespace slackvm::sched {
 class HeatIndex {
  public:
   using Bucket = std::uint32_t;
+
+  /// Buckets at or above this id share the last slot of the dense bucket
+  /// table (and void the ordering, see ordered()): a tiny bucket width must
+  /// not size the table to millions of empty slots.
+  static constexpr Bucket kMaxBuckets = 4096;
+
+  enum class Order { kCoolestFirst, kHottestFirst };
 
   /// Record a host epoch bump: O(1) append to the dirty log consumed by the
   /// next sync(). Every epoch bump must be reported, including no-op
@@ -56,10 +63,19 @@ class HeatIndex {
   /// Seed (or re-seed) from live state, discarding everything cached.
   void rebuild(std::span<const HostState> hosts);
 
-  /// Bucket -> ascending host ids; exact after sync(). Ascending map order
-  /// == coolest first; reverse iteration == hottest first.
-  [[nodiscard]] const std::map<Bucket, std::set<HostId>>& buckets() const noexcept {
-    return buckets_;
+  /// Call f(bucket, hosts) for every non-empty bucket in `order`; `hosts`
+  /// holds its ids (HostBitset::for_each visits them ascending). f may
+  /// return bool: false stops the visit. Exact after sync().
+  template <class F>
+  void visit(Order order, F&& f) const {
+    const auto each = [&](HostId bucket) {
+      return visit_continues(f, static_cast<Bucket>(bucket), buckets_[bucket]);
+    };
+    if (order == Order::kCoolestFirst) {
+      occupied_.for_each(each);
+    } else {
+      occupied_.for_each_descending(each);
+    }
   }
 
   /// Hosts currently filed.
@@ -68,16 +84,17 @@ class HeatIndex {
   /// Unconsumed dirty-log entries (VCluster bounds this between passes).
   [[nodiscard]] std::size_t dirty_size() const noexcept { return dirty_.size(); }
 
-  /// True while every filed host has been quantized with one common bucket
-  /// width (hosts never heated — width 0, heat 0, bucket 0 — are trivially
-  /// consistent with any width). Cross-bucket heat comparisons are only
+  /// True while visit() order is heat order: every filed host has been
+  /// quantized with one common bucket width (hosts never heated — width 0,
+  /// heat 0, bucket 0 — are trivially consistent with any width), and no
+  /// bucket reached kMaxBuckets. Cross-bucket heat comparisons are only
   /// sound then: bucket b spans raw heats [b*w, (b+1)*w) and equal heats
   /// share a bucket. Planners must fall back to the naive scan when false.
   /// Sticky once tripped (conservative: correctness over speed). Detection
   /// rides the epoch protocol, so it covers exactly the writes the index
   /// hears about; the supported contract is the one the heat feeder
   /// implements — a single bucket width per cluster run.
-  [[nodiscard]] bool uniform_width() const noexcept { return !mixed_width_; }
+  [[nodiscard]] bool ordered() const noexcept { return ordered_; }
 
   /// Audit against the authoritative rows (call after sync): every host
   /// filed exactly once under its current bucket. One line per divergence.
@@ -93,15 +110,23 @@ class HeatIndex {
     bool present = false;
   };
 
+  /// The slot of the dense bucket table that files `bucket`.
+  [[nodiscard]] static Bucket slot(Bucket bucket) noexcept {
+    return bucket < kMaxBuckets ? bucket : kMaxBuckets - 1;
+  }
+
   void update(const HostState& host);
+  void file(HostId host, Bucket bucket);
+  void unfile(HostId host, Bucket bucket);
   void erase(HostId host);
 
   std::vector<Cached> cached_;
-  std::map<Bucket, std::set<HostId>> buckets_;
+  std::vector<HostBitset> buckets_;  ///< by slot(bucket); sized on demand
+  HostBitset occupied_;              ///< slots whose bitset is non-empty
   std::vector<HostId> dirty_;
   std::size_t indexed_ = 0;
   double width_ = 0.0;  ///< first positive bucket width seen
-  bool mixed_width_ = false;
+  bool ordered_ = true;
 };
 
 }  // namespace slackvm::sched

@@ -88,7 +88,11 @@ std::vector<HostedVm> HostState::evict_all() {
   }
   recompute_alloc_cores();
   ++epoch_;
-  return std::exchange(vms_, {});
+  // Copy the victims out and clear in place: the host keeps its vector's
+  // capacity, so refilling it after a repair allocates nothing.
+  std::vector<HostedVm> victims(vms_.begin(), vms_.end());
+  vms_.clear();
+  return victims;
 }
 
 void HostState::reserve(core::VmId id, const core::VmSpec& spec) {

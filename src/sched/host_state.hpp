@@ -154,7 +154,8 @@ class HostState {
   void remove(core::VmId id);
 
   /// Release every hosted VM at once and return them in ascending VmId
-  /// order (reservations stay booked). One epoch bump covers the batch.
+  /// order (reservations stay booked). One epoch bump covers the batch, and
+  /// the host keeps its VM vector's capacity for the refill.
   [[nodiscard]] std::vector<HostedVm> evict_all();
 
   // --- migration reservations (sim/migration.hpp holds them in flight) -----

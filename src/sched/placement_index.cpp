@@ -29,12 +29,9 @@ std::optional<HostId> PlacementIndex::select(std::span<const HostState> hosts,
   sync(pc, hosts, arena);
 
   if (mode_ == Mode::kFirstFit) {
-    if (pc.feasible.empty()) {
-      return std::nullopt;
-    }
     // The set is exact after sync(): lowest feasible id == First-Fit.
-    const HostId chosen = *pc.feasible.begin();
-    SLACKVM_ASSERT(chosen < hosts.size());
+    const std::optional<HostId> chosen = pc.feasible.first();
+    SLACKVM_ASSERT(!chosen || *chosen < hosts.size());
     return chosen;
   }
 
@@ -114,9 +111,9 @@ void PlacementIndex::update_host(PerClass& pc, const HostState& host,
       arena != nullptr ? arena->can_host(id, pc.spec) : host.can_host(pc.spec);
   if (mode_ == Mode::kFirstFit) {
     if (feasible) {
-      pc.feasible.insert(id);
+      pc.feasible.set(id);
     } else {
-      pc.feasible.erase(id);
+      pc.feasible.reset(id);
     }
     return;
   }

@@ -27,13 +27,13 @@
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "core/vm.hpp"
 #include "sched/host_arena.hpp"
+#include "sched/host_bitset.hpp"
 #include "sched/host_state.hpp"
 #include "sched/scorer.hpp"
 
@@ -45,7 +45,7 @@ using SpecClassId = std::uint32_t;
 class PlacementIndex {
  public:
   enum class Mode {
-    kFirstFit,  ///< lowest feasible host id (ordered feasibility set)
+    kFirstFit,  ///< lowest feasible host id (feasibility bitset)
     kScore,     ///< argmax cached score, ties to lowest id (lazy max-heap)
   };
 
@@ -103,7 +103,7 @@ class PlacementIndex {
   struct PerClass {
     core::VmSpec spec;        ///< representative shape (usage irrelevant)
     std::size_t cursor = 0;   ///< first unconsumed dirty-log entry
-    std::set<HostId> feasible;                          ///< kFirstFit
+    HostBitset feasible;                                ///< kFirstFit
     std::vector<Entry> heap;                            ///< kScore max-heap
     /// kScore: per host id, the epoch of its newest heap entry (or
     /// kNeverPushed). Only feasible hosts are pushed, so a tag equal to the

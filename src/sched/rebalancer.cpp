@@ -118,10 +118,11 @@ MigrationPlan Rebalancer::plan_interference(const VCluster& cluster,
     return MigrationPlan{};
   }
   // The cluster's heat index follows set_index_enabled: nullptr
-  // means the verbatim naive scan must run. Mixed quantization widths void
-  // the cross-bucket ordering the incremental scans rely on.
+  // means the verbatim naive scan must run. Mixed quantization widths (or a
+  // bucket past the index's table) void the cross-bucket ordering the
+  // incremental scans rely on.
   const HeatIndex* index = cluster.synced_heat_index();
-  if (index != nullptr && index->uniform_width()) {
+  if (index != nullptr && index->ordered()) {
     return plan_interference_incremental(cluster, *index, model, options);
   }
   return plan_interference_naive(cluster, model, options);
@@ -507,7 +508,6 @@ MigrationPlan Rebalancer::plan_interference_incremental(
   PlanScratch& s = scratch_;
   s.load(cluster.arena());
   const std::vector<HostState>& live = cluster.hosts();
-  const auto& buckets = index.buckets();
 
   while (plan.migrations.size() < options.evictions_per_pass) {
     // Hottest untried UP host with >= 2 VMs. The few hosts this pass
@@ -530,18 +530,20 @@ MigrationPlan Rebalancer::plan_interference_incremental(
         source = h;
       }
     }
-    bool bucket_hit = false;
-    for (auto it = buckets.rbegin(); it != buckets.rend() && !bucket_hit; ++it) {
-      for (const HostId h : it->second) {
-        if (s.shifted[h] || !eligible_source(h)) {
-          continue;
-        }
-        bucket_hit = true;
-        if (!source || hotter(h, *source)) {
-          source = h;
-        }
-      }
-    }
+    index.visit(HeatIndex::Order::kHottestFirst,
+                [&](HeatIndex::Bucket, const HostBitset& ids) {
+                  bool bucket_hit = false;
+                  ids.for_each([&](HostId h) {
+                    if (s.shifted[h] || !eligible_source(h)) {
+                      return;
+                    }
+                    bucket_hit = true;
+                    if (!source || hotter(h, *source)) {
+                      source = h;
+                    }
+                  });
+                  return !bucket_hit;
+                });
     if (!source) {
       break;
     }
@@ -588,18 +590,20 @@ MigrationPlan Rebalancer::plan_interference_incremental(
         target = h;
       }
     }
-    bucket_hit = false;
-    for (auto it = buckets.begin(); it != buckets.end() && !bucket_hit; ++it) {
-      for (const HostId h : it->second) {
-        if (s.shifted[h] || !eligible_target(h)) {
-          continue;
-        }
-        bucket_hit = true;
-        if (!target || cooler(h, *target)) {
-          target = h;
-        }
-      }
-    }
+    index.visit(HeatIndex::Order::kCoolestFirst,
+                [&](HeatIndex::Bucket, const HostBitset& ids) {
+                  bool bucket_hit = false;
+                  ids.for_each([&](HostId h) {
+                    if (s.shifted[h] || !eligible_target(h)) {
+                      return;
+                    }
+                    bucket_hit = true;
+                    if (!target || cooler(h, *target)) {
+                      target = h;
+                    }
+                  });
+                  return !bucket_hit;
+                });
     if (!target) {
       continue;  // hottest host is stuck; try the next-hottest
     }

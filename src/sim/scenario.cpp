@@ -65,19 +65,20 @@ std::string number_text(T value) {
 #define SLACKVM_FIELD(path) [](Scenario& s) -> auto& { return s.path; }
 
 // The knob table: one row per knob, in write order. Rows with no flag are
-// scenario-only. See Knob (scenario.hpp) for the columns.
+// scenario-only. See Knob (scenario.hpp) for the columns; a row that leaves
+// out `readers` is read by the replay alone.
 const Knob kKnobs[] = {
-    {"name", "", "NAME", SLACKVM_FIELD(name), {}, "label printed with the results"},
+    {"name", "", "NAME", SLACKVM_FIELD(name), {}, "label printed with the results", 0},
     {"provider", "--provider", "azure|ovhcloud", SLACKVM_FIELD(provider), {},
-     "flavor catalog (Table I)"},
+     "flavor catalog (Table I)", kReadByCatalog},
     {"distribution", "--dist", "A..O", SLACKVM_FIELD(distribution), {'A', 'O'},
-     "oversubscription level mix (Fig. 3)"},
+     "oversubscription level mix (Fig. 3)", kReadByMix},
     {"population", "--population", "N", SLACKVM_FIELD(config.generator.target_population),
-     at_least(1), "steady-state concurrent VMs"},
+     at_least(1), "steady-state concurrent VMs", kReadByGenerator},
     {"seed", "--seed", "N", SLACKVM_FIELD(config.generator.seed), {},
-     "workload seed; repetition r uses seed + r"},
+     "workload seed; repetition r uses seed + r", kReadByGenerator | kReadByReplay},
     {"repetitions", "--reps", "N", SLACKVM_FIELD(config.repetitions), {},
-     "seeded workloads averaged per cell"},
+     "seeded workloads averaged per cell", kReadByGrid},
     {"parallelism", "--parallelism", "N", SLACKVM_FIELD(config.parallelism), {},
      "worker threads, 0 = all cores (same results)"},
     {"shards", "--shards", "N", SLACKVM_FIELD(config.shards), at_least(1),
@@ -85,17 +86,17 @@ const Knob kKnobs[] = {
     {"mem_oversub", "--mem-oversub", "X", SLACKVM_FIELD(config.mem_oversub), at_least(1),
      "DRAM oversubscription ratio of every PM"},
     {"horizon_days", "", "DAYS", SLACKVM_FIELD(config.generator.horizon), above(0),
-     "length of the generated workload", 24 * 3600},
+     "length of the generated workload", kReadByGenerator, 24 * 3600},
     {"lifetime_days", "", "DAYS", SLACKVM_FIELD(config.generator.mean_lifetime), above(0),
-     "mean VM lifetime", 24 * 3600},
+     "mean VM lifetime", kReadByGenerator, 24 * 3600},
     {"diurnal", "", "X", SLACKVM_FIELD(config.generator.diurnal_amplitude),
-     {0, 1, false, true}, "diurnal arrival-rate amplitude"},
+     {0, 1, false, true}, "diurnal arrival-rate amplitude", kReadByGenerator},
     {"trace", "--trace", "FILE", SLACKVM_FIELD(config.trace_path), {},
-     "replay this CSV instead of generating a workload"},
+     "replay this CSV instead of generating a workload", kReadByTrace},
     {"host_cores", "", "N", SLACKVM_FIELD(config.host_config.cores), at_least(1),
      "cores per PM"},
     {"host_mem_gib", "", "GIB", SLACKVM_FIELD(config.host_config.mem_mib), at_least(1),
-     "DRAM per PM", core::kMibPerGib},
+     "DRAM per PM", kReadByReplay, core::kMibPerGib},
     {"faults", "--faults", "N", SLACKVM_FIELD(config.faults.count), {},
      "seed-derived host failures over the run"},
     {"fault_seed", "--fault-seed", "N", SLACKVM_FIELD(config.faults.seed), {},

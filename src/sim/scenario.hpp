@@ -7,8 +7,9 @@
 //
 // Every knob is declared once, as a row of the knob table in scenario.cpp:
 // its scenario key, its `slackvm` flag (scenario-only knobs have none), the
-// field it sets, the values it accepts and one help line. parse_scenario,
-// write_scenario, the CLI's flag parser and its usage text are all driven
+// field it sets, the values it accepts, one help line and the parts of an
+// experiment that read it. parse_scenario, write_scenario, the CLI's flag
+// parser, its per-subcommand flag check and its usage text are all driven
 // by that table; `slackvm` without arguments prints the generated list of
 // flags and keys.
 //
@@ -64,6 +65,18 @@ struct KnobRange {
   bool max_open = false;  ///< max itself excluded: "[0, 1)"
 };
 
+/// The parts of an experiment that read a knob, as bits of Knob::readers. A
+/// front end that runs only some of them (`slackvm catalog` lists the
+/// catalog and nothing else) refuses the flag of a knob none of them reads.
+enum KnobReader : std::uint8_t {
+  kReadByCatalog = 1 << 0,    ///< the flavor catalog
+  kReadByMix = 1 << 1,        ///< the level mix of one generated workload
+  kReadByGenerator = 1 << 2,  ///< the workload generator
+  kReadByGrid = 1 << 3,       ///< the repetition grid of a comparison
+  kReadByTrace = 1 << 4,      ///< a trace file, in place of the generator
+  kReadByReplay = 1 << 5,     ///< the replay: fleet, faults and control plane
+};
+
 /// One knob: the single declaration the scenario grammar, write_scenario,
 /// the `slackvm` flags and their usage text are generated from.
 struct Knob {
@@ -81,6 +94,7 @@ struct Knob {
   Field field;
   KnobRange range;        ///< numbers: accepted values; char: accepted letters
   std::string_view help;  ///< one usage line
+  std::uint8_t readers = kReadByReplay;  ///< KnobReader bits
   double scale = 1;       ///< field units per written unit (days -> s, GiB -> MiB)
 
   /// Set the field from `text`; false, with the field untouched, on any

@@ -8,7 +8,10 @@
 // replay a second, identical deploy/remove churn at no more than 0.01
 // allocations per call. The few left come from the odd PM the second pass
 // opens: the empty PMs the warm-up left behind change which hosts the
-// progress score prefers.
+// progress score prefers. The same holds for dedicated First-Fit clusters,
+// whose placement index keeps its feasible hosts in bitsets, and for the
+// heat-bucket index under heat churn; a failed host keeps its VM vector,
+// so failing, repairing and refilling it costs only the victim list.
 //
 // One level up, a whole one-shard replay of a 20k-row trace must allocate
 // a bounded number of times that does not grow with the row count: the
@@ -24,6 +27,7 @@
 
 #include "core/rng.hpp"
 #include "sched/policy.hpp"
+#include "sched/vcluster.hpp"
 #include "sim/datacenter.hpp"
 #include "sim/event_source.hpp"
 #include "sim/replay.hpp"
@@ -127,6 +131,99 @@ TEST(DeployRemoveAllocations, WarmedSharedClusterChurnsWithoutAllocating) {
       static_cast<double>(allocations) / static_cast<double>(ops.size());
   EXPECT_LE(per_call, 0.01) << allocations << " allocations over " << ops.size()
                             << " deploy/remove calls";
+}
+
+TEST(DeployRemoveAllocations, WarmedDedicatedFirstFitClusterChurnsWithoutAllocating) {
+  const std::vector<Op> ops = make_churn(20000);
+  Datacenter dc = Datacenter::dedicated(
+      {32, gib(128)}, {core::OversubLevel{1}, core::OversubLevel{2}, core::OversubLevel{3}},
+      sched::make_first_fit);
+  run(dc, ops);  // warm-up: grows every container to its working size
+  ASSERT_EQ(dc.vm_count(), 0U);
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  run(dc, ops);
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+
+  EXPECT_EQ(dc.vm_count(), 0U);
+  const double per_call =
+      static_cast<double>(allocations) / static_cast<double>(ops.size());
+  EXPECT_LE(per_call, 0.01) << allocations << " allocations over " << ops.size()
+                            << " deploy/remove calls";
+}
+
+core::VmSpec quarter_host() {
+  core::VmSpec spec;
+  spec.vcpus = 8;
+  spec.mem_mib = gib(32);
+  spec.level = core::OversubLevel{1};
+  return spec;
+}
+
+TEST(HeatIndexAllocations, WarmedHeatBucketChurnAllocatesNothing) {
+  sched::VCluster cluster("heat", {32, gib(128)}, sched::make_progress_policy());
+  for (std::uint64_t vm = 1; vm <= 1200; ++vm) {
+    ASSERT_TRUE(cluster.try_place(core::VmId{vm}, quarter_host()));
+  }
+  ASSERT_EQ(cluster.opened_hosts(), 300U);
+  // Heats wander over 0 .. 3 in 0.25-wide buckets: hosts cross buckets,
+  // buckets empty and refill. Every 50 writes a polluter pass would sync
+  // the index, and a VM departs and one arrives (the only free slot is the
+  // one just freed, so it lands there), which lets the placement index
+  // replay the touches the heat writes left in its log. The second pass
+  // repeats the first exactly.
+  const auto churn = [&cluster] {
+    core::SplitMix64 rng(99);
+    for (int write = 0; write < 20000; ++write) {
+      const auto host = static_cast<sched::HostId>(rng.below(cluster.opened_hosts()));
+      cluster.set_host_heat(host, rng.uniform(0.0, 3.0), 0.25);
+      if (write % 50 == 0) {
+        ASSERT_NE(cluster.synced_heat_index(), nullptr);
+        const core::VmId vm{1 + rng.below(1200)};
+        cluster.remove(vm);
+        ASSERT_TRUE(cluster.try_place(vm, quarter_host()));
+      }
+    }
+  };
+  churn();  // warm-up
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  churn();
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocations, 0U) << "allocations over 20000 heat writes";
+}
+
+TEST(HostAllocations, FailRepairRefillOfAWarmedHostCostsOneAllocation) {
+  sched::VCluster cluster("fault", {32, gib(128)}, sched::make_first_fit());
+  for (std::uint64_t vm = 1; vm <= 4; ++vm) {
+    ASSERT_EQ(cluster.try_place(core::VmId{vm}, quarter_host()), sched::HostId{0});
+  }
+  // Fail host 0, repair it, and put its VMs back: First-Fit refills the
+  // lowest feasible host, host 0 itself.
+  const auto cycle = [&cluster] {
+    const std::vector<sched::HostedVm> victims = cluster.fail_host(0);
+    cluster.repair_host(0);
+    for (const auto& [vm, spec] : victims) {
+      ASSERT_EQ(cluster.try_place(vm, spec), sched::HostId{0});
+    }
+  };
+  // Warm-up: enough cycles for the placement index's dirty log to reach
+  // its compaction size, so its amortized growth is over too.
+  for (int i = 0; i < 300; ++i) {
+    cycle();
+  }
+  constexpr std::uint64_t kCycles = 100;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::uint64_t i = 0; i < kCycles; ++i) {
+    cycle();
+  }
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(cluster.hosts()[0].vm_count(), 4U);
+  // One per cycle, the victim list; a host that dropped its VM vector would
+  // regrow it (1, 2, 4 slots) on every refill.
+  EXPECT_LE(allocations, kCycles) << "allocations over " << kCycles << " cycles";
 }
 
 TEST(DeployRemoveAllocations, CounterSeesHeapAllocations) {

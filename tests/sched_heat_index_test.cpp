@@ -1,13 +1,19 @@
 // HeatIndex property suite, mirroring sched_placement_index_test.cpp for
 // the quantized-heat buckets: the epoch + dirty-log protocol (refile only
 // on bucket crossings, epoch-match short-circuit, rolled-back-opening
-// drops), the uniform-width soundness flag, the VCluster synced_heat_index
-// wiring behind the set_index_enabled hook, and a randomized churn whose
-// incrementally-synced index must match a from-scratch rebuild exactly.
+// drops), the ordering soundness flag, the VCluster synced_heat_index
+// wiring behind the set_index_enabled hook, a randomized churn whose
+// incrementally-synced index must match a from-scratch rebuild exactly, and
+// a heat churn whose visits must match a std::map<Bucket, std::set<HostId>>
+// reference kept here.
 #include "sched/heat_index.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -33,6 +39,22 @@ VmSpec make_spec(core::VcpuCount vcpus, core::MemMib mem, std::uint8_t ratio) {
   return s;
 }
 
+/// (bucket, ascending ids) pairs, in the order visit() reports them.
+using Filing = std::vector<std::pair<HeatIndex::Bucket, std::vector<HostId>>>;
+
+Filing visited(const HeatIndex& index, HeatIndex::Order order) {
+  Filing out;
+  index.visit(order, [&out](HeatIndex::Bucket bucket, const HostBitset& ids) {
+    out.emplace_back(bucket, std::vector<HostId>{});
+    ids.for_each([&out](HostId id) { out.back().second.push_back(id); });
+  });
+  return out;
+}
+
+Filing coolest_first(const HeatIndex& index) {
+  return visited(index, HeatIndex::Order::kCoolestFirst);
+}
+
 std::vector<HostState> make_hosts(std::size_t n) {
   std::vector<HostState> hosts;
   hosts.reserve(n);
@@ -54,20 +76,12 @@ TEST(HeatIndexProtocol, FilesHostsByBucketCoolestFirst) {
   HeatIndex index;
   index.rebuild(hosts);
   EXPECT_EQ(index.size(), 4u);
-  EXPECT_TRUE(index.uniform_width());
+  EXPECT_TRUE(index.ordered());
   EXPECT_TRUE(index.check(hosts).empty());
 
-  const auto& buckets = index.buckets();
-  ASSERT_EQ(buckets.size(), 3u);
-  auto it = buckets.begin();  // ascending == coolest first
-  EXPECT_EQ(it->first, 0u);
-  EXPECT_EQ(it->second, (std::set<HostId>{0}));
-  ++it;
-  EXPECT_EQ(it->first, 1u);
-  EXPECT_EQ(it->second, (std::set<HostId>{2}));
-  ++it;
-  EXPECT_EQ(it->first, 2u);
-  EXPECT_EQ(it->second, (std::set<HostId>{1, 3}));
+  EXPECT_EQ(coolest_first(index), (Filing{{0, {0}}, {1, {2}}, {2, {1, 3}}}));
+  EXPECT_EQ(visited(index, HeatIndex::Order::kHottestFirst),
+            (Filing{{2, {1, 3}}, {1, {2}}, {0, {0}}}));
 }
 
 TEST(HeatIndexProtocol, RefilesOnlyOnBucketCrossings) {
@@ -89,8 +103,7 @@ TEST(HeatIndexProtocol, RefilesOnlyOnBucketCrossings) {
   index.sync(hosts);
   EXPECT_EQ(index.dirty_size(), 0u);
   EXPECT_TRUE(index.check(hosts).empty());
-  EXPECT_TRUE(index.buckets().contains(1));
-  EXPECT_FALSE(index.buckets().contains(0));
+  EXPECT_EQ(coolest_first(index), (Filing{{1, {0}}, {2, {1}}}));
 }
 
 TEST(HeatIndexProtocol, EpochMatchShortCircuitsStaleTouches) {
@@ -137,7 +150,7 @@ TEST(HeatIndexWidth, MixedWidthsTripTheFlagStickily) {
                                 // comparisons are no longer ordered
   HeatIndex index;
   index.rebuild(hosts);
-  EXPECT_FALSE(index.uniform_width());
+  EXPECT_FALSE(index.ordered());
 
   // Sticky: re-quantizing everything with one width does not un-trip it
   // (conservative — only a rebuild re-evaluates).
@@ -146,10 +159,10 @@ TEST(HeatIndexWidth, MixedWidthsTripTheFlagStickily) {
   index.touch(0);
   index.touch(1);
   index.sync(hosts);
-  EXPECT_FALSE(index.uniform_width());
+  EXPECT_FALSE(index.ordered());
 
   index.rebuild(hosts);
-  EXPECT_TRUE(index.uniform_width());
+  EXPECT_TRUE(index.ordered());
 }
 
 TEST(HeatIndexWidth, UnquantizedNonzeroHeatTripsTheFlag) {
@@ -157,7 +170,7 @@ TEST(HeatIndexWidth, UnquantizedNonzeroHeatTripsTheFlag) {
   hosts[0].set_heat(0.6, 0.0);  // quantization disabled: bucket pinned at 0
   HeatIndex index;
   index.rebuild(hosts);
-  EXPECT_FALSE(index.uniform_width());
+  EXPECT_FALSE(index.ordered());
 }
 
 TEST(HeatIndexWidth, ColdHostsAreConsistentWithAnyWidth) {
@@ -165,7 +178,25 @@ TEST(HeatIndexWidth, ColdHostsAreConsistentWithAnyWidth) {
   hosts[1].set_heat(0.6, 0.25);  // the only heated host sets the width
   HeatIndex index;
   index.rebuild(hosts);
-  EXPECT_TRUE(index.uniform_width());
+  EXPECT_TRUE(index.ordered());
+}
+
+TEST(HeatIndexWidth, BucketsPastTheTableVoidTheOrder) {
+  std::vector<HostState> hosts = make_hosts(3);
+  hosts[0].set_heat(0.5, 0.25);
+  hosts[1].set_heat(0.25 * (HeatIndex::kMaxBuckets - 1), 0.25);  // last slot
+  HeatIndex index;
+  index.rebuild(hosts);
+  EXPECT_TRUE(index.ordered());
+
+  // Buckets kMaxBuckets and up share the table's last slot: still filed
+  // exactly once, but the visit no longer orders them.
+  hosts[2].set_heat(0.25 * (HeatIndex::kMaxBuckets + 7), 0.25);
+  index.touch(2);
+  index.sync(hosts);
+  EXPECT_FALSE(index.ordered());
+  EXPECT_EQ(index.size(), 3u);
+  EXPECT_TRUE(index.check(hosts).empty());
 }
 
 // --- VCluster wiring behind the escape hatch --------------------------------
@@ -187,7 +218,7 @@ TEST(HeatIndexCluster, SyncedIndexTracksHeatWritesAndHonoursTheHatch) {
   index = cluster.synced_heat_index();
   ASSERT_NE(index, nullptr);
   EXPECT_TRUE(index->check(cluster.hosts()).empty());
-  EXPECT_TRUE(index->uniform_width());
+  EXPECT_TRUE(index->ordered());
 
   // set_index_enabled(false): the planner must fall back to the naive scan.
   cluster.set_index_enabled(false);
@@ -239,14 +270,81 @@ TEST(HeatIndexChurn, RandomizedChurnMatchesFreshRebuild) {
       EXPECT_TRUE(synced->check(cluster.hosts()).empty()) << "event " << event;
       HeatIndex fresh;
       fresh.rebuild(cluster.hosts());
-      EXPECT_EQ(synced->buckets(), fresh.buckets()) << "event " << event;
+      EXPECT_EQ(coolest_first(*synced), coolest_first(fresh)) << "event " << event;
       EXPECT_TRUE(sim::audit(cluster).empty()) << "event " << event;
     }
   }
   const HeatIndex* synced = cluster.synced_heat_index();
   ASSERT_NE(synced, nullptr);
-  EXPECT_TRUE(synced->uniform_width());
+  EXPECT_TRUE(synced->ordered());
   EXPECT_TRUE(synced->check(cluster.hosts()).empty());
+}
+
+// --- visit order vs a node-based reference --------------------------------
+
+TEST(HeatIndexChurn, VisitOrderMatchesMapReferenceUnderHeatChurn) {
+  // Ids cross summary words (> 4096 hosts). Every host starts cold in
+  // bucket 0; a few hundred of them, half past id 4096, move through a
+  // sliding band of warmer buckets, so those buckets fill, empty and
+  // refill, and every seventh round sends them all back to bucket 0.
+  constexpr std::size_t kHosts = 4200;
+  std::vector<HostState> hosts = make_hosts(kHosts);
+  HeatIndex index;
+  index.rebuild(hosts);
+  std::map<HeatIndex::Bucket, std::set<HostId>> reference;
+  for (HostId h = 0; h < kHosts; ++h) {
+    reference[0].insert(h);
+  }
+  core::SplitMix64 rng(0x5eedULL);
+  std::vector<HostId> movers;
+  for (HostId h = 4096; h < kHosts; ++h) {
+    movers.push_back(h);
+  }
+  for (int i = 0; i < 100; ++i) {
+    movers.push_back(static_cast<HostId>(rng.below(4096)));
+  }
+  const auto write = [&](HostId h, double heat) {
+    const HeatIndex::Bucket before = hosts[h].heat_bucket();
+    hosts[h].set_heat(heat, 0.25);
+    index.touch(h);
+    if (hosts[h].heat_bucket() != before) {
+      reference[before].erase(h);
+      if (reference[before].empty()) {
+        reference.erase(before);
+      }
+      reference[hosts[h].heat_bucket()].insert(h);
+    }
+  };
+
+  for (int round = 0; round < 60; ++round) {
+    if (round % 7 == 6) {
+      for (const HostId h : movers) {
+        write(h, 0.0);
+      }
+    } else {
+      const double low = 0.25 * (1 + round % 6);
+      for (int i = 0; i < 300; ++i) {
+        write(movers[rng.below(movers.size())], rng.uniform(low, low + 0.75));
+      }
+    }
+    index.sync(hosts);
+    ASSERT_TRUE(index.check(hosts).empty()) << "round " << round;
+    Filing cool;
+    for (const auto& [bucket, ids] : reference) {
+      cool.emplace_back(bucket, std::vector<HostId>(ids.begin(), ids.end()));
+    }
+    EXPECT_EQ(coolest_first(index), cool) << "round " << round;
+    EXPECT_EQ(visited(index, HeatIndex::Order::kHottestFirst),
+              Filing(cool.rbegin(), cool.rend()))
+        << "round " << round;
+  }
+  EXPECT_TRUE(index.ordered());
+
+  // A visitor returning false stops after the bucket it is given.
+  std::size_t seen = 0;
+  index.visit(HeatIndex::Order::kHottestFirst,
+              [&seen](HeatIndex::Bucket, const HostBitset&) { return ++seen < 2; });
+  EXPECT_EQ(seen, std::min<std::size_t>(2, reference.size()));
 }
 
 }  // namespace

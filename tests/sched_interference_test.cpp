@@ -483,7 +483,7 @@ TEST(PlanDifferential, TenThousandEventChurnMatchesNaivePasses) {
         ASSERT_TRUE(cluster.index_enabled());
         const sched::HeatIndex* index = cluster.synced_heat_index();
         ASSERT_NE(index, nullptr);
-        ASSERT_TRUE(index->uniform_width());
+        ASSERT_TRUE(index->ordered());
         expect_same_plan(rebalancer.plan(cluster, 16),
                          rebalancer.plan_naive(cluster, 16));
         expect_same_plan(rebalancer.plan_interference(cluster, contention, itf),

@@ -119,6 +119,61 @@ TEST(PlacementIndexDifferential, AllPoliciesMatchNaiveOverRandomChurn) {
   }
 }
 
+TEST(PlacementIndexDifferential, FirstFitMatchesNaiveAcrossSummaryWords) {
+  // One whole-host VM per PM opens more than 4096 hosts, so every class's
+  // feasibility bitset spans two level-1 summary words. The churn then
+  // frees hosts on both sides of id 4096 (half the removals pick a VM on
+  // one of the top hosts), so First-Fit's lowest feasible host keeps
+  // crossing the summary boundary in both directions.
+  constexpr std::size_t kFilled = 4200;
+  VCluster naive("naive", kWorker, make_first_fit());
+  naive.set_index_enabled(false);
+  VCluster indexed("indexed", kWorker, make_first_fit());
+  const VmSpec whole = make_spec(32, gib(128), 1);
+  std::vector<VmId> live;
+  std::uint64_t next_id = 1;
+  for (std::size_t h = 0; h < kFilled; ++h) {
+    const VmId vm{next_id++};
+    ASSERT_EQ(naive.try_place(vm, whole), indexed.try_place(vm, whole));
+    live.push_back(vm);
+  }
+  ASSERT_EQ(indexed.opened_hosts(), kFilled);
+
+  core::SplitMix64 rng(4096);
+  std::size_t high_reuses = 0;  // placements onto an open host past id 4096
+  for (std::size_t e = 0; e < 12000; ++e) {
+    if (live.empty() || rng.below(2) == 0) {
+      const VmId vm{next_id++};
+      const VmSpec spec = rng.below(3) == 0 ? whole : random_spec(rng);
+      const std::size_t open = indexed.opened_hosts();
+      const auto naive_host = naive.try_place(vm, spec);
+      ASSERT_EQ(naive_host, indexed.try_place(vm, spec)) << "divergence at event " << e;
+      ASSERT_TRUE(naive_host.has_value());
+      if (*naive_host >= 4096 && *naive_host < open) {
+        ++high_reuses;
+      }
+      live.push_back(vm);
+      continue;
+    }
+    std::size_t victim = rng.below(live.size());
+    if (rng.below(2) == 0) {
+      // Prefer a VM on one of the top hosts, past the summary boundary.
+      for (int tries = 0; tries < 64 && indexed.host_of(live[victim]) < 4090; ++tries) {
+        victim = rng.below(live.size());
+      }
+    }
+    naive.remove(live[victim]);
+    indexed.remove(live[victim]);
+    live[victim] = live.back();
+    live.pop_back();
+  }
+  EXPECT_EQ(naive.opened_hosts(), indexed.opened_hosts());
+  EXPECT_GT(indexed.opened_hosts(), 4096U);
+  EXPECT_GT(high_reuses, 0U);
+  EXPECT_EQ(naive.total_alloc(), indexed.total_alloc());
+  EXPECT_EQ(naive.vm_count(), indexed.vm_count());
+}
+
 TEST(PlacementIndexDifferential, ScoreTieBreaksOnLowestHostId) {
   for (const PolicyCase& policy : kPolicies) {
     VCluster cluster("tie", kWorker, policy.make());

@@ -12,15 +12,19 @@
 //
 // Options: every scenario knob (sim/scenario.hpp) with a flag, plus
 // --policy, --mode, --file, --out and --watchdog-s; `slackvm` without
-// arguments lists them all. --policy and --mode are read by replay only, and
-// run-scenario takes every knob from its file: giving them elsewhere is an
-// error, not a silent no-op.
+// arguments lists them all. Each subcommand reads only some of them (the
+// command table at the end of this file), and run-scenario takes every knob
+// from its file: a flag the subcommand would not read is an error, not a
+// silent no-op.
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sched/offline.hpp"
@@ -43,7 +47,6 @@ using namespace slackvm;
 namespace {
 
 struct Args {
-  std::string command;
   sim::Scenario scenario;  ///< every knob flag lands here
   std::string policy = "progress";
   std::string mode = "shared";
@@ -84,65 +87,6 @@ int usage() {
     }
   }
   return 2;
-}
-
-std::optional<Args> parse_args(int argc, char** argv) {
-  if (argc < 2) {
-    return std::nullopt;
-  }
-  Args args;
-  args.command = argv[1];
-  const auto knobs = sim::knobs();
-  // The first flag given that the subcommand would not read.
-  std::string replay_only_flag;
-  std::string knob_flag;
-  for (int i = 2; i < argc; ++i) {
-    const std::string key = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        throw core::SlackError("missing value for " + key);
-      }
-      return argv[++i];
-    };
-    if (key == "--policy") {
-      args.policy = value();
-      replay_only_flag = replay_only_flag.empty() ? key : replay_only_flag;
-    } else if (key == "--mode") {
-      args.mode = value();
-      replay_only_flag = replay_only_flag.empty() ? key : replay_only_flag;
-    } else if (key == "--file") {
-      args.file_path = value();
-    } else if (key == "--out") {
-      args.out_path = value();
-    } else if (key == "--watchdog-s") {
-      // Converted to whole milliseconds later: a negative, NaN or huge value
-      // would make that conversion undefined.
-      const auto seconds = sim::parse_number<double>(value());
-      if (!seconds || !(*seconds >= 0 && *seconds <= 1e9)) {
-        throw core::SlackError("--watchdog-s must be in [0, 1e9]");
-      }
-      args.watchdog_s = *seconds;
-    } else if (const auto knob = std::ranges::find(knobs, key, &sim::Knob::flag);
-               knob != knobs.end() && !key.empty()) {
-      const std::string text = value();
-      if (!knob->parse(args.scenario, text)) {
-        throw core::SlackError(key + " " + knob->requirement() + ", got '" + text + "'");
-      }
-      knob_flag = knob_flag.empty() ? key : knob_flag;
-    } else {
-      throw core::SlackError("unknown option " + key);
-    }
-  }
-  if (!replay_only_flag.empty() && args.command != "replay") {
-    throw core::SlackError(replay_only_flag + " is read by replay only, not by " +
-                           args.command);
-  }
-  if (!knob_flag.empty() && args.command == "run-scenario") {
-    throw core::SlackError("run-scenario reads every knob from --file; drop " +
-                           knob_flag + " or set its key in the scenario");
-  }
-  sim::check_knobs(args.scenario, sim::KnobName::kFlag);
-  return args;
 }
 
 sim::PolicyFactory policy_factory(const Args& args) {
@@ -416,39 +360,127 @@ int cmd_topology(const Args& args) {
   return 0;
 }
 
+// The subcommands and every flag each one reads: the flags of the knobs its
+// parts read (sim::KnobReader bits), plus its own flags. Any other flag is
+// refused, naming it, rather than ignored.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::uint8_t knob_readers;
+  std::array<std::string_view, 3> own_flags;
+};
+
+constexpr std::uint8_t kComparisonReaders = sim::kReadByCatalog | sim::kReadByGenerator |
+                                            sim::kReadByGrid | sim::kReadByTrace |
+                                            sim::kReadByReplay;
+
+const Command kCommands[] = {
+    {"catalog", cmd_catalog, sim::kReadByCatalog, {}},
+    {"generate", cmd_generate,
+     sim::kReadByCatalog | sim::kReadByMix | sim::kReadByGenerator, {"--out"}},
+    {"analyze", cmd_analyze, sim::kReadByTrace, {}},
+    {"replay", cmd_replay, sim::kReadByTrace | sim::kReadByReplay,
+     {"--policy", "--mode", "--watchdog-s"}},
+    {"sweep", cmd_sweep, kComparisonReaders, {}},
+    // A trace is read only to be refused: it fixes the mix the heatmap varies.
+    {"heatmap", cmd_heatmap, kComparisonReaders, {}},
+    {"topology", cmd_topology, 0, {"--file"}},
+    {"run-scenario", cmd_run_scenario, 0, {"--file"}},
+};
+
+/// Whether `command` reads `flag`; `knob` is its row, or null for own flags.
+bool reads(const Command& command, std::string_view flag, const sim::Knob* knob) {
+  return knob != nullptr ? (command.knob_readers & knob->readers) != 0
+                         : std::ranges::find(command.own_flags, flag) !=
+                               command.own_flags.end();
+}
+
+/// "--policy is read by replay only, not by sweep".
+std::string unread_message(const Command& command, std::string_view flag,
+                           const sim::Knob* knob) {
+  if (knob != nullptr && command.name == "run-scenario") {
+    return "run-scenario reads every knob from --file; drop " + std::string(flag) +
+           " or set its key in the scenario";
+  }
+  std::string readers;
+  for (const Command& other : kCommands) {
+    if (reads(other, flag, knob)) {
+      readers += (readers.empty() ? "" : ", ") + std::string(other.name);
+    }
+  }
+  return std::string(flag) + " is read by " + readers + " only, not by " +
+         std::string(command.name);
+}
+
+/// The parsed flags and the subcommand to run them; nullopt for usage().
+std::optional<std::pair<Args, const Command*>> parse_args(int argc, char** argv) {
+  if (argc < 2) {
+    return std::nullopt;
+  }
+  const auto command = std::ranges::find(kCommands, std::string_view(argv[1]),
+                                         &Command::name);
+  if (command == std::end(kCommands)) {
+    return std::nullopt;
+  }
+  Args args;
+  const auto knobs = sim::knobs();
+  // The first flag given that the subcommand would not read.
+  std::string unread;
+  for (int i = 2; i < argc; ++i) {
+    const std::string key = argv[i];
+    auto value = [&]() -> std::string {
+      if (i + 1 >= argc) {
+        throw core::SlackError("missing value for " + key);
+      }
+      return argv[++i];
+    };
+    const sim::Knob* knob = nullptr;
+    if (key == "--policy") {
+      args.policy = value();
+    } else if (key == "--mode") {
+      args.mode = value();
+    } else if (key == "--file") {
+      args.file_path = value();
+    } else if (key == "--out") {
+      args.out_path = value();
+    } else if (key == "--watchdog-s") {
+      // Converted to whole milliseconds later: a negative, NaN or huge value
+      // would make that conversion undefined.
+      const auto seconds = sim::parse_number<double>(value());
+      if (!seconds || !(*seconds >= 0 && *seconds <= 1e9)) {
+        throw core::SlackError("--watchdog-s must be in [0, 1e9]");
+      }
+      args.watchdog_s = *seconds;
+    } else if (const auto row = std::ranges::find(knobs, key, &sim::Knob::flag);
+               row != knobs.end() && !key.empty()) {
+      knob = &*row;
+      const std::string text = value();
+      if (!knob->parse(args.scenario, text)) {
+        throw core::SlackError(key + " " + knob->requirement() + ", got '" + text + "'");
+      }
+    } else {
+      throw core::SlackError("unknown option " + key);
+    }
+    if (unread.empty() && !reads(*command, key, knob)) {
+      unread = unread_message(*command, key, knob);
+    }
+  }
+  if (!unread.empty()) {
+    throw core::SlackError(unread);
+  }
+  sim::check_knobs(args.scenario, sim::KnobName::kFlag);
+  return std::pair{std::move(args), &*command};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    const auto args = parse_args(argc, argv);
-    if (!args) {
+    const auto parsed = parse_args(argc, argv);
+    if (!parsed) {
       return usage();
     }
-    if (args->command == "catalog") {
-      return cmd_catalog(*args);
-    }
-    if (args->command == "generate") {
-      return cmd_generate(*args);
-    }
-    if (args->command == "analyze") {
-      return cmd_analyze(*args);
-    }
-    if (args->command == "replay") {
-      return cmd_replay(*args);
-    }
-    if (args->command == "sweep") {
-      return cmd_sweep(*args);
-    }
-    if (args->command == "heatmap") {
-      return cmd_heatmap(*args);
-    }
-    if (args->command == "topology") {
-      return cmd_topology(*args);
-    }
-    if (args->command == "run-scenario") {
-      return cmd_run_scenario(*args);
-    }
-    return usage();
+    return parsed->second->run(parsed->first);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "slackvm: %s\n", e.what());
     return 1;
