@@ -28,33 +28,6 @@ double run_sweep(const workload::Catalog& catalog, sim::ExperimentConfig config,
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-bool identical(const sim::RunResult& a, const sim::RunResult& b) {
-  return a.opened_pms == b.opened_pms && a.peak_active_pms == b.peak_active_pms &&
-         a.migrations == b.migrations && a.placed_vms == b.placed_vms &&
-         a.peak_vms == b.peak_vms && a.opened_per_cluster == b.opened_per_cluster &&
-         a.avg_unalloc_cpu_share == b.avg_unalloc_cpu_share &&
-         a.avg_unalloc_mem_share == b.avg_unalloc_mem_share &&
-         a.peak_unalloc_cpu_share == b.peak_unalloc_cpu_share &&
-         a.peak_unalloc_mem_share == b.peak_unalloc_mem_share &&
-         a.duration == b.duration && a.avg_active_pms == b.avg_active_pms &&
-         a.avg_alloc_cores == b.avg_alloc_cores;
-}
-
-bool identical(const std::vector<sim::PackingComparison>& a,
-               const std::vector<sim::PackingComparison>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].distribution != b[i].distribution ||
-        !identical(a[i].baseline, b[i].baseline) ||
-        !identical(a[i].slackvm, b[i].slackvm)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -81,7 +54,7 @@ int main(int argc, char** argv) {
   for (std::size_t threads = 2; threads <= max_threads; threads *= 2) {
     std::vector<sim::PackingComparison> parallel;
     const double wall_s = run_sweep(catalog, config, threads, parallel);
-    const bool same = identical(serial, parallel);
+    const bool same = serial == parallel;
     all_identical = all_identical && same;
     std::printf("%8zu | %9.2f | %7.2fx | %s\n", threads, wall_s,
                 wall_s > 0 ? serial_s / wall_s : 0.0, same ? "yes" : "NO — BUG");

@@ -17,16 +17,22 @@ void HeatIndex::sync(std::span<const HostState> hosts) {
 }
 
 void HeatIndex::rebuild(std::span<const HostState> hosts) {
+  reset();
+  for (const HostState& host : hosts) {
+    update(host);
+  }
+}
+
+void HeatIndex::reset() noexcept {
   cached_.clear();
-  buckets_.clear();
-  occupied_ = HostBitset{};
+  for (HostBitset& bucket : buckets_) {
+    bucket.clear();
+  }
+  occupied_.clear();
   dirty_.clear();
   indexed_ = 0;
   width_ = 0.0;
   ordered_ = true;
-  for (const HostState& host : hosts) {
-    update(host);
-  }
 }
 
 void HeatIndex::update(const HostState& host) {

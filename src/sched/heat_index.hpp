@@ -63,6 +63,10 @@ class HeatIndex {
   /// Seed (or re-seed) from live state, discarding everything cached.
   void rebuild(std::span<const HostState> hosts);
 
+  /// Return to the state of a fresh index, keeping the storage. The cached
+  /// epochs must go: hosts opened afterwards restart at epoch 0.
+  void reset() noexcept;
+
   /// Call f(bucket, hosts) for every non-empty bucket in `order`; `hosts`
   /// holds its ids (HostBitset::for_each visits them ascending). f may
   /// return bool: false stops the visit. Exact after sync().

@@ -101,6 +101,24 @@ void HostArena::reserve(std::size_t hosts) {
   vcpus_per_level_.reserve(hosts * kLevels);
 }
 
+void HostArena::reset() noexcept {
+  epoch_.clear();
+  phase_.clear();
+  alloc_cores_.clear();
+  committed_mem_.clear();
+  mem_capacity_.clear();
+  config_cores_.clear();
+  config_mem_.clear();
+  vm_count_.clear();
+  heat_.clear();
+  heat_bucket_.clear();
+  heat_bucket_width_.clear();
+  vcpus_per_level_.clear();
+  total_alloc_ = {};
+  total_config_ = {};
+  nonempty_ = 0;
+}
+
 bool HostArena::can_host(HostId host, const core::VmSpec& spec) const noexcept {
   if (static_cast<HostPhase>(phase_[host]) != HostPhase::kUp) {
     return false;

@@ -51,6 +51,9 @@ class HostArena {
 
   void reserve(std::size_t hosts);
 
+  /// Drop every row and zero the totals; the columns keep their storage.
+  void reset() noexcept;
+
   [[nodiscard]] std::size_t size() const noexcept { return epoch_.size(); }
 
   // --- O(1) cluster aggregates -------------------------------------------

@@ -13,6 +13,7 @@
 // holds.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -56,6 +57,12 @@ class HostBitset {
     if (words_[w] == 0) {
       summary_[w / 64] &= ~bit(w);
     }
+  }
+
+  /// Drop every member and keep the storage.
+  void clear() noexcept {
+    std::fill(words_.begin(), words_.end(), 0);
+    std::fill(summary_.begin(), summary_.end(), 0);
   }
 
   [[nodiscard]] bool empty() const noexcept {

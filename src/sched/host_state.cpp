@@ -34,6 +34,16 @@ HostState::HostState(HostId id, core::Resources config, double mem_oversub)
   SLACKVM_ASSERT(mem_oversub >= 1.0);
 }
 
+void HostState::revive(HostId id, core::Resources config, double mem_oversub) {
+  std::vector<HostedVm> vms = std::move(vms_);
+  std::unordered_map<core::VmId, core::VmSpec> reservations = std::move(reservations_);
+  *this = HostState(id, config, mem_oversub);
+  vms.clear();
+  reservations.clear();
+  vms_ = std::move(vms);
+  reservations_ = std::move(reservations);
+}
+
 core::CoreCount HostState::cores_with(const core::VmSpec& spec) const noexcept {
   // Only the spec's own vNode changes, so the incremental ceil-rounded
   // demand is O(1) instead of a sweep over all levels.

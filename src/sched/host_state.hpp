@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <span>
 #include <unordered_map>
@@ -47,6 +48,12 @@ class HostState {
   /// footnote 2: OpenStack defaults to 16:1 CPU and 1.5:1 DRAM): committed
   /// memory may reach config.mem_mib * mem_oversub.
   HostState(HostId id, core::Resources config, double mem_oversub = 1.0);
+
+  /// Turn a parked host into a freshly opened one (VCluster::reset parks
+  /// its hosts): every field is as the constructor leaves it, epoch 0
+  /// included, but the VM vector and the reservation map keep their
+  /// storage, so refilling the host allocates nothing.
+  void revive(HostId id, core::Resources config, double mem_oversub);
 
   [[nodiscard]] HostId id() const noexcept { return id_; }
   [[nodiscard]] const core::Resources& config() const noexcept { return config_; }
@@ -88,8 +95,13 @@ class HostState {
   void set_heat(double heat, double bucket_width) noexcept {
     heat_ = std::max(heat, 0.0);
     heat_bucket_width_ = bucket_width;
-    const std::uint32_t bucket =
-        bucket_width > 0.0 ? static_cast<std::uint32_t>(heat_ / bucket_width) : 0;
+    // A quotient past the largest bucket (a tiny width, a huge or NaN heat)
+    // files in that bucket; the cast of an out-of-range double is undefined.
+    constexpr double kTop = std::numeric_limits<std::uint32_t>::max();
+    const double quotient = bucket_width > 0.0 ? heat_ / bucket_width : 0.0;
+    const std::uint32_t bucket = quotient < kTop
+                                     ? static_cast<std::uint32_t>(quotient)
+                                     : std::numeric_limits<std::uint32_t>::max();
     if (heat_bucket_ != bucket) {
       heat_bucket_ = bucket;
       ++epoch_;

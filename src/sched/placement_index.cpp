@@ -52,8 +52,21 @@ std::optional<HostId> PlacementIndex::select(std::span<const HostState> hosts,
 void PlacementIndex::sync_all(std::span<const HostState> hosts,
                               const HostArena* arena) {
   for (PerClass& pc : classes_) {
-    sync(pc, hosts, arena);
+    if (pc.live) {
+      sync(pc, hosts, arena);
+    }
     pc.cursor = 0;
+  }
+  dirty_log_.clear();
+}
+
+void PlacementIndex::reset() noexcept {
+  for (PerClass& pc : classes_) {
+    pc.live = false;
+    pc.cursor = 0;
+    pc.feasible.clear();
+    pc.heap.clear();
+    pc.pushed.clear();  // update_host regrows it with kNeverPushed
   }
   dirty_log_.clear();
 }
@@ -65,17 +78,21 @@ PlacementIndex::PerClass& PlacementIndex::class_for(std::span<const HostState> h
   const auto [it, inserted] =
       ids_.try_emplace(key, static_cast<SpecClassId>(classes_.size()));
   if (inserted) {
-    // New shape: one full scan seeds its structure; afterwards only dirty
-    // hosts are ever revisited (cursor starts at the log's current end).
     classes_.emplace_back();
-    PerClass& pc = classes_.back();
-    pc.spec = spec;
+    classes_.back().spec = spec;
+  }
+  PerClass& pc = classes_[it->second];
+  if (!pc.live) {
+    // New or dormant shape: one full scan seeds its structure; afterwards
+    // only dirty hosts are ever revisited (cursor starts at the log's
+    // current end).
+    pc.live = true;
     pc.cursor = dirty_log_.size();
     for (const HostState& host : hosts) {
       update_host(pc, host, arena);
     }
   }
-  return classes_[it->second];
+  return pc;
 }
 
 void PlacementIndex::sync(PerClass& pc, std::span<const HostState> hosts,

@@ -76,6 +76,19 @@ class PlacementIndex {
   /// the log never outlives a barrier window.
   void sync_all(std::span<const HostState> hosts, const HostArena* arena = nullptr);
 
+  /// Drop everything cached and keep the storage: the dirty log and every
+  /// class's candidates go, and each class goes dormant until its next
+  /// select() re-seeds it from live host state by one scan, exactly as a
+  /// new shape is seeded. So the index is exact over any fleet afterwards:
+  /// the live one (VCluster bounds the dirty log this way) or an emptied
+  /// one (VCluster::reset). Every epoch-tagged entry (heap entries,
+  /// `pushed` tags) must go: hosts reopened after a cluster reset restart
+  /// at epoch 0, so a kept tag could pass for a fresh one.
+  void reset() noexcept;
+
+  /// Unconsumed dirty-log entries (VCluster bounds this between selects).
+  [[nodiscard]] std::size_t dirty_size() const noexcept { return dirty_log_.size(); }
+
   [[nodiscard]] Mode mode() const noexcept { return mode_; }
   [[nodiscard]] std::size_t spec_class_count() const noexcept { return ids_.size(); }
 
@@ -102,6 +115,9 @@ class PlacementIndex {
 
   struct PerClass {
     core::VmSpec spec;        ///< representative shape (usage irrelevant)
+    /// False until the first select() of the shape seeds it, and again
+    /// after reset(); dormant classes skip the dirty log.
+    bool live = false;
     std::size_t cursor = 0;   ///< first unconsumed dirty-log entry
     HostBitset feasible;                                ///< kFirstFit
     std::vector<Entry> heap;                            ///< kScore max-heap

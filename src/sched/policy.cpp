@@ -39,7 +39,7 @@ std::optional<HostId> ScorePolicy::select(std::span<const HostState> hosts,
 
 std::string ScorePolicy::name() const { return "score(" + scorer_->name() + ")"; }
 
-RandomPolicy::RandomPolicy(std::uint64_t seed) : rng_(seed) {}
+RandomPolicy::RandomPolicy(std::uint64_t seed) : seed_(seed), rng_(seed) {}
 
 std::optional<HostId> RandomPolicy::select(std::span<const HostState> hosts,
                                            const core::VmSpec& spec,

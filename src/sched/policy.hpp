@@ -42,6 +42,10 @@ class PlacementPolicy {
 
   [[nodiscard]] virtual IndexMode index_mode() const noexcept { return IndexMode::kNone; }
 
+  /// Return to the state the policy was constructed in (VCluster::reset).
+  /// A no-op for every policy whose select() is pure.
+  virtual void reset() noexcept {}
+
   /// Scorer the index caches per host in kScore mode; must be pure in
   /// (host state, spec). nullptr unless index_mode() == kScore.
   [[nodiscard]] virtual const Scorer* index_scorer() const noexcept { return nullptr; }
@@ -101,8 +105,10 @@ class RandomPolicy final : public PlacementPolicy {
                                              const core::VmSpec& spec,
                                              const Filter* extra = nullptr) const override;
   [[nodiscard]] std::string name() const override { return "random-fit"; }
+  void reset() noexcept override { rng_ = core::SplitMix64(seed_); }
 
  private:
+  std::uint64_t seed_;
   mutable core::SplitMix64 rng_;
 };
 

@@ -29,10 +29,53 @@ HostId VCluster::place(core::VmId id, const core::VmSpec& spec) {
 }
 
 void VCluster::reserve(std::size_t expected_vms) {
-  // Hosts are bounded by live VMs but usually far fewer; cap the up-front
-  // vector footprint — growth past the cap stays amortized either way.
-  hosts_.reserve(std::min<std::size_t>(expected_vms, 4096));
-  arena_.reserve(std::min<std::size_t>(expected_vms, 4096));
+  // Hosts are bounded by live VMs, and a trace's rows overstate those: the
+  // benchmark's traces have 66 to 118 rows per opened host, so one host per
+  // 16 rows still over-reserves. Cap the up-front vector footprint — growth
+  // past the cap stays amortized either way. A reset cluster keeps what it
+  // reserved, so an oversized hint would stay resident for every later
+  // replay.
+  const std::size_t hosts = std::min<std::size_t>(expected_vms / 16 + 1, 4096);
+  hosts_.reserve(hosts);
+  arena_.reserve(hosts);
+}
+
+void VCluster::reset() {
+  // Park in descending id order, so the host revived as id i is the one
+  // that was id i: its VM vector already has that host's working size.
+  for (auto host = hosts_.rbegin(); host != hosts_.rend(); ++host) {
+    parked_.push_back(std::move(*host));
+  }
+  hosts_.clear();
+  arena_.reset();
+  placements_.reset();
+  policy_->reset();
+  filter_.reset();
+  max_hosts_.reset();
+  index_enabled_ = true;
+  if (index_ != nullptr) {
+    index_->reset();
+  }
+  if (heat_index_ != nullptr) {
+    heat_index_->reset();
+  }
+  membership_log_.clear();
+  membership_armed_ = false;
+  membership_lost_ = true;
+}
+
+HostState& VCluster::open_host() {
+  const auto id = static_cast<HostId>(hosts_.size());
+  if (parked_.empty()) {
+    hosts_.emplace_back(id, fleet_.config_for(id), mem_oversub_);
+  } else {
+    hosts_.push_back(std::move(parked_.back()));
+    parked_.pop_back();
+    hosts_.back().revive(id, fleet_.config_for(id), mem_oversub_);
+  }
+  arena_.push_host(hosts_.back());
+  touch(id);
+  return hosts_.back();
 }
 
 void VCluster::flush_index() {
@@ -81,7 +124,12 @@ PlacementIndex* VCluster::active_index() {
 }
 
 std::optional<HostId> VCluster::try_place(core::VmId id, const core::VmSpec& spec) {
-  SLACKVM_ASSERT(!placements_.contains(id));
+  // One directory probe refuses a duplicate id and claims the entry, before
+  // any host is opened or mutated; the entry learns its host at the end.
+  HostId* entry = placements_.try_insert(id, 0);
+  if (entry == nullptr) {
+    SLACKVM_THROW("VCluster::try_place: VM already placed (" + name_ + ")");
+  }
   PlacementIndex* index = active_index();
   auto chosen = index != nullptr ? index->select(hosts_, spec, &arena_)
                                  : policy_->select(hosts_, spec, filter_.get());
@@ -95,30 +143,29 @@ std::optional<HostId> VCluster::try_place(core::VmId id, const core::VmSpec& spe
       if (max_hosts_ && hosts_.size() >= *max_hosts_) {
         break;
       }
-      const auto host_id = static_cast<HostId>(hosts_.size());
-      hosts_.emplace_back(host_id, fleet_.config_for(host_id), mem_oversub_);
-      arena_.push_host(hosts_.back());
-      touch(host_id);
-      if (hosts_.back().can_host(spec)) {
-        chosen = host_id;
+      const HostState& opened = open_host();
+      if (opened.can_host(spec)) {
+        chosen = opened.id();
         break;
       }
     }
     if (!chosen) {
-      // Roll back the empty PMs a failed attempt opened so a rejection
-      // leaves the cluster unchanged.
+      // Roll back the empty PMs a failed attempt opened, and the directory
+      // entry, so a rejection leaves the cluster unchanged.
       while (hosts_.size() > opened_before) {
         SLACKVM_ASSERT(hosts_.back().empty());
+        parked_.push_back(std::move(hosts_.back()));
         hosts_.pop_back();
         arena_.pop_host();
       }
+      placements_.erase(id);
       return std::nullopt;
     }
   }
+  *entry = *chosen;
   hosts_[*chosen].add(id, spec);
   journal(MembershipDelta::Op::kAdd, *chosen, id, spec);
   note(*chosen);
-  placements_.insert(id, *chosen);
   return *chosen;
 }
 
@@ -181,7 +228,7 @@ void VCluster::set_host_heat(HostId host, double heat, double bucket_width) {
   arena_.refresh(hosts_[host]);
   if (hosts_[host].epoch() != before) {
     touch(host);
-    bound_heat_log();
+    bound_logs();
   }
 }
 

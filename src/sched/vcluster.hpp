@@ -71,6 +71,17 @@ class VCluster {
   }
   [[nodiscard]] bool index_enabled() const noexcept { return index_enabled_; }
 
+  /// Return to the state of a freshly constructed cluster (same name,
+  /// fleet, memory ratio and policy; no hosts, no filter, no host cap,
+  /// index on, membership journal disarmed) while keeping every
+  /// container's storage. The hosts are parked, not destroyed: opening a
+  /// host revives a parked one in place (HostState::revive), so its VM
+  /// vector and reservation map keep their capacity. Every cache tagged
+  /// with host epochs is emptied, since revived hosts restart at epoch 0.
+  /// Placement is a pure function of host state, so a reset cluster places
+  /// exactly like a new one.
+  void reset();
+
   /// Pre-size the host containers for an expected number of VMs (a
   /// trace-size hint). Purely a capacity hint — never required. The VM
   /// directory ignores it: a trace's row count overstates the live VMs by
@@ -207,6 +218,12 @@ class VCluster {
   /// placement index; logically const (the member is a mutable cache).
   [[nodiscard]] const HeatIndex* synced_heat_index() const;
 
+  /// The placement index serving try_place, or nullptr while placements
+  /// take the naive scan (or before the first one).
+  [[nodiscard]] const PlacementIndex* placement_index() const noexcept {
+    return index_.get();
+  }
+
   /// Replay the placement index's whole dirty log now (batched at shard
   /// barriers so per-event touches stay O(1) appends). No-op while naive.
   void flush_index();
@@ -248,15 +265,24 @@ class VCluster {
     }
   }
 
-  /// Bound the heat index's dirty log between polluter passes: touch() is an
-  /// O(1) append, but if plan_interference stops being called the log must
-  /// not grow with every mutation forever. Only called from settled contexts
-  /// (never inside try_place's opening-rollback window), so a sync here can
-  /// never file a host that is about to be popped.
-  void bound_heat_log() {
-    if (heat_index_ != nullptr &&
-        heat_index_->dirty_size() > 8 * hosts_.size() + 1024) {
+  /// Bound both indexes' dirty logs: touch() is an O(1) append, and the
+  /// logs are otherwise replayed only by a polluter pass (heat index) or a
+  /// select() (placement index). Epoch bumps with neither in between (heat
+  /// crossings, phase changes, a run of departures) must not grow them
+  /// forever. The placement index drops its candidates instead of
+  /// replaying the log: each class re-seeds by one O(hosts) scan on its
+  /// next select, cheaper than replaying 8·hosts entries into every class,
+  /// and its heaps do not fill with entries for epochs no select will see.
+  /// Only called from settled contexts (never inside try_place's
+  /// opening-rollback window), so a sync here can never file a host that
+  /// is about to be parked.
+  void bound_logs() {
+    const std::size_t bound = 8 * hosts_.size() + 1024;
+    if (heat_index_ != nullptr && heat_index_->dirty_size() > bound) {
       heat_index_->sync(hosts_);
+    }
+    if (index_ != nullptr && index_->dirty_size() > bound) {
+      index_->reset();
     }
   }
 
@@ -265,8 +291,11 @@ class VCluster {
   void note(HostId host) {
     arena_.refresh(hosts_[host]);
     touch(host);
-    bound_heat_log();
+    bound_logs();
   }
+
+  /// Open the next host of the fleet cycle, reviving a parked one if any.
+  [[nodiscard]] HostState& open_host();
 
   /// Append one membership record (no-op until armed). A full journal stops
   /// recording and flags the loss instead of growing unboundedly — the next
@@ -293,6 +322,9 @@ class VCluster {
   std::unique_ptr<Filter> filter_;
   std::optional<std::size_t> max_hosts_;
   std::vector<HostState> hosts_;
+  /// Hosts parked by reset() or a rolled-back opening, the next to revive
+  /// at the back.
+  std::vector<HostState> parked_;
   HostArena arena_;  ///< SoA mirror of hosts_, maintained by note()
   VmDirectory placements_;  ///< VmId -> host, one entry per placed VM
   bool index_enabled_ = true;

@@ -1,5 +1,6 @@
 #include "sched/vm_directory.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "core/error.hpp"
@@ -23,18 +24,38 @@ const HostId* VmDirectory::find(core::VmId vm) const noexcept {
 }
 
 void VmDirectory::insert(core::VmId vm, HostId host) {
+  const HostId* placed = try_insert(vm, host);
+  SLACKVM_ASSERT(placed != nullptr);
+}
+
+HostId* VmDirectory::try_insert(core::VmId vm, HostId host) {
   SLACKVM_ASSERT(vm.value != kEmpty);
+  // Probe first, so a duplicate is refused before the table can grow.
+  std::size_t i = 0;
+  if (!slots_.empty()) {
+    const std::size_t mask = slots_.size() - 1;
+    for (i = home_slot(vm); slots_[i].key != kEmpty; i = (i + 1) & mask) {
+      if (slots_[i].key == vm.value) {
+        return nullptr;
+      }
+    }
+  }
   if (4 * (size_ + 1) > 3 * slots_.size()) {
     rehash(slots_.empty() ? kMinCapacity : 2 * slots_.size());
-  }
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = home_slot(vm);
-  while (slots_[i].key != kEmpty) {
-    SLACKVM_ASSERT(slots_[i].key != vm.value);
-    i = (i + 1) & mask;
+    const std::size_t mask = slots_.size() - 1;
+    i = home_slot(vm);
+    while (slots_[i].key != kEmpty) {
+      i = (i + 1) & mask;
+    }
   }
   slots_[i] = Slot{vm.value, host};
   ++size_;
+  return &slots_[i].host;
+}
+
+void VmDirectory::reset() noexcept {
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  size_ = 0;
 }
 
 std::optional<HostId> VmDirectory::erase(core::VmId vm) noexcept {

@@ -50,6 +50,14 @@ class VmDirectory {
   /// Map a VM that is not present yet (asserted).
   void insert(core::VmId vm, HostId host);
 
+  /// Map `vm` to `host` unless it is present already, in one probe either
+  /// way: returns the new entry's host, or nullptr (nothing changed) for a
+  /// duplicate. The pointer stays valid until the next insert or erase.
+  HostId* try_insert(core::VmId vm, HostId host);
+
+  /// Unmap every VM; the slot array keeps its capacity.
+  void reset() noexcept;
+
   /// Unmap `vm` and return the host it mapped to; nullopt when absent.
   std::optional<HostId> erase(core::VmId vm) noexcept;
 

@@ -109,6 +109,12 @@ void Datacenter::set_index_enabled(bool enabled) {
   }
 }
 
+void Datacenter::reset() {
+  for (const auto& cluster : clusters_) {
+    cluster->reset();
+  }
+}
+
 void Datacenter::reserve(std::size_t expected_vms) {
   // Dedicated mode splits the trace across level clusters; per-cluster
   // shares are unknown up front, so hint the even split (under-reserving

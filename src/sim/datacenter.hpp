@@ -85,6 +85,13 @@ class Datacenter {
   /// identical either way; off preserves the exact naive-scan code path.
   void set_index_enabled(bool enabled);
 
+  /// Return to the state of a freshly built datacenter of the same layout
+  /// (VCluster::reset on every cluster), keeping every container's storage,
+  /// so a sweep can replay cell after cell on one datacenter without
+  /// regrowing it. A replay on a reset datacenter yields the RunResult a
+  /// new one would.
+  void reset();
+
   /// Pre-size per-cluster containers for an expected number of VM
   /// deployments (trace-size hint). Purely a performance hint.
   void reserve(std::size_t expected_vms);

@@ -33,16 +33,68 @@ std::size_t effective_repetitions(const ExperimentConfig& config) {
   return config.repetitions == 0 ? 1 : config.repetitions;
 }
 
+/// The datacenters one thread replays its cells on, for the length of one
+/// compare_packing or run_distribution_sweep call. A datacenter is reset
+/// (Datacenter::reset) for each cell it serves, so a cell regrows none of
+/// its containers, and a reset datacenter replays exactly like a new one.
+/// Every cell of a call shares one config, so one shared datacenter serves
+/// them all. The dedicated one must match the cell's level set; it is
+/// built again when the set changes. Cells reach a thread in blocks of
+/// neighbouring grid positions, i.e. of one distribution, so a serial sweep
+/// builds it about once per distribution; keeping one per level set (up to
+/// 7) instead would hold every set's grown containers for the whole call.
+class CellWorkspace {
+ public:
+  Datacenter& dedicated(const ExperimentConfig& config,
+                        const std::vector<core::OversubLevel>& levels) {
+    if (dedicated_.has_value() && levels != dedicated_levels_) {
+      dedicated_.reset();
+    }
+    dedicated_levels_ = levels;
+    return reuse(dedicated_, config, [&] {
+      return Datacenter::dedicated(config.host_config, levels, sched::make_first_fit,
+                                   config.mem_oversub);
+    });
+  }
+
+  Datacenter& shared(const ExperimentConfig& config, const PolicyFactory& policy,
+                     std::size_t shards) {
+    return reuse(shared_, config, [&] {
+      return Datacenter::shared_sharded(config.host_config, policy, shards,
+                                        config.mem_oversub);
+    });
+  }
+
+ private:
+  template <class Build>
+  static Datacenter& reuse(std::optional<Datacenter>& dc, const ExperimentConfig& config,
+                           const Build& build) {
+    if (dc.has_value()) {
+      dc->reset();
+    } else {
+      dc.emplace(build());
+    }
+    dc->set_index_enabled(config.use_index);
+    return *dc;
+  }
+
+  std::optional<Datacenter> shared_;
+  std::optional<Datacenter> dedicated_;
+  std::vector<core::OversubLevel> dedicated_levels_;
+};
+
 /// One (distribution, repetition) cell of the experiment grid: a freshly
-/// generated trace replayed against both cluster organisations. Pure in
-/// (catalog, mix, config, rep) — safe to run from any pool thread.
+/// generated trace replayed against both cluster organisations, on the
+/// datacenters of the running thread's workspace. Pure in (catalog, mix,
+/// config, rep) — safe to run from any pool thread.
 struct CellResult {
   RunResult baseline;
   RunResult slackvm;
 };
 
-CellResult run_cell(const workload::Catalog& catalog, const workload::LevelMix& mix,
-                    const ExperimentConfig& config, std::size_t rep) {
+CellResult run_cell(CellWorkspace& workspace, const workload::Catalog& catalog,
+                    const workload::LevelMix& mix, const ExperimentConfig& config,
+                    std::size_t rep) {
   workload::GeneratorConfig gen_cfg = config.generator;
   gen_cfg.seed = config.generator.seed + rep;
 
@@ -113,9 +165,7 @@ CellResult run_cell(const workload::Catalog& catalog, const workload::LevelMix& 
 
   CellResult cell;
   // Baseline: dedicated First-Fit clusters.
-  Datacenter baseline = Datacenter::dedicated(config.host_config, levels,
-                                              sched::make_first_fit, config.mem_oversub);
-  baseline.set_index_enabled(config.use_index);
+  Datacenter& baseline = workspace.dedicated(config, levels);
   {
     const std::unique_ptr<EventSource> source = open_source();
     cell.baseline = replay_sharded(baseline, *source, shard_options);
@@ -124,9 +174,7 @@ CellResult run_cell(const workload::Catalog& catalog, const workload::LevelMix& 
   // SlackVM: one shared cluster per shard (exactly shared() at one shard),
   // Algorithm-2 progress scoring (heat-aware when the interference loop is
   // armed).
-  Datacenter slackvm = Datacenter::shared_sharded(config.host_config, shared_policy,
-                                                  shards, config.mem_oversub);
-  slackvm.set_index_enabled(config.use_index);
+  Datacenter& slackvm = workspace.shared(config, shared_policy, shards);
   {
     const std::unique_ptr<EventSource> source = open_source();
     cell.slackvm = replay_sharded(slackvm, *source, shard_options);
@@ -306,8 +354,11 @@ PackingComparison compare_packing(const workload::Catalog& catalog,
                                   const ExperimentConfig& config) {
   const std::size_t reps = effective_repetitions(config);
   ParallelRunner runner(config.parallelism);
-  const std::vector<CellResult> cells = runner.map<CellResult>(
-      reps, [&](std::size_t rep) { return run_cell(catalog, mix, config, rep); });
+  std::vector<CellWorkspace> workspaces(runner.slots());
+  const std::vector<CellResult> cells =
+      runner.map<CellResult>(reps, [&](std::size_t rep, std::size_t slot) {
+        return run_cell(workspaces[slot], catalog, mix, config, rep);
+      });
   return reduce_cells(catalog, mix, cells);
 }
 
@@ -319,10 +370,13 @@ std::vector<PackingComparison> run_distribution_sweep(const workload::Catalog& c
   // Fan the whole (distribution, repetition) grid out at once: task index
   // t = mix * reps + rep, so each cell's seed and its slot in the reduction
   // depend only on its grid position, never on scheduling order.
+  // Each thread replays on its own workspace (slot), so no datacenter is
+  // ever shared between threads.
   ParallelRunner runner(config.parallelism);
+  std::vector<CellWorkspace> workspaces(runner.slots());
   const std::vector<CellResult> cells =
-      runner.map<CellResult>(mixes.size() * reps, [&](std::size_t t) {
-        return run_cell(catalog, mixes[t / reps], config, t % reps);
+      runner.map<CellResult>(mixes.size() * reps, [&](std::size_t t, std::size_t slot) {
+        return run_cell(workspaces[slot], catalog, mixes[t / reps], config, t % reps);
       });
 
   std::vector<PackingComparison> out;

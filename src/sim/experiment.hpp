@@ -104,6 +104,8 @@ struct PackingComparison {
 
   /// PMs saved by SlackVM, in percent of the baseline cluster size.
   [[nodiscard]] double pm_saving_pct() const;
+
+  friend bool operator==(const PackingComparison&, const PackingComparison&) = default;
 };
 
 /// Field-wise mean of RunResults over repetitions: counts are rounded to

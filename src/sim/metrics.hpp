@@ -76,6 +76,11 @@ struct RunResult {
   std::size_t itf_applied = 0;    ///< evictions applied instantly
   std::size_t itf_requested = 0;  ///< evictions handed to the MigrationEngine
   std::size_t itf_skipped = 0;    ///< planned evictions no longer applicable
+
+  /// Field-wise, doubles compared exactly: the determinism contracts
+  /// (thread counts, shard counts, reset datacenters) promise identical
+  /// bits, not approximate agreement.
+  friend bool operator==(const RunResult&, const RunResult&) = default;
 };
 
 /// Streaming collector driven by the replay loop.

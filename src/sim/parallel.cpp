@@ -36,7 +36,7 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::run(std::size_t count, const std::function<void(std::size_t)>& task,
+void ThreadPool::run(std::size_t count, const SlotTask& task,
                      const WatchdogConfig* watchdog) {
   if (count == 0) {
     return;
@@ -69,10 +69,11 @@ void ThreadPool::run(std::size_t count, const std::function<void(std::size_t)>& 
   batch_cv_.notify_all();
 
   // The calling thread works too, so run(n) with a 1-thread pool cannot
-  // deadlock and small batches finish without a context switch.
+  // deadlock and small batches finish without a context switch. It pops
+  // from worker 0's queue but runs as slot 0, the workers as slots 1..n.
   std::size_t index = 0;
   while (try_pop(0, index)) {
-    execute(index);
+    execute(index, 0);
   }
   {
     std::unique_lock<std::mutex> lock(batch_mutex_);
@@ -142,17 +143,17 @@ bool ThreadPool::try_pop(std::size_t self, std::size_t& index) {
   return true;
 }
 
-void ThreadPool::execute(std::size_t index) {
+void ThreadPool::execute(std::size_t index, std::size_t slot) {
   // Holding an index guarantees task_ is this batch's task (run() sets it
   // before pushing, and cannot clear it until remaining_ — which includes
   // this index — hits zero), but the read still needs the mutex.
-  const std::function<void(std::size_t)>* task = nullptr;
+  const SlotTask* task = nullptr;
   {
     const std::lock_guard<std::mutex> lock(batch_mutex_);
     task = task_;
   }
   try {
-    (*task)(index);
+    (*task)(index, slot);
   } catch (...) {
     const std::lock_guard<std::mutex> lock(error_mutex_);
     if (!first_error_) {
@@ -183,7 +184,7 @@ void ThreadPool::worker_loop(std::size_t self) {
     }
     std::size_t index = 0;
     while (try_pop(self, index)) {
-      execute(index);
+      execute(index, self + 1);
     }
     // All queues drained (no tasks are added mid-batch): back to waiting
     // for the next epoch while in-flight tasks on other workers finish.
@@ -201,9 +202,14 @@ ParallelRunner::ParallelRunner(std::size_t parallelism)
 void ParallelRunner::for_each(std::size_t count,
                               const std::function<void(std::size_t)>& fn,
                               const WatchdogConfig* watchdog) {
+  for_each(count, [&fn](std::size_t index, std::size_t) { fn(index); }, watchdog);
+}
+
+void ParallelRunner::for_each(std::size_t count, const SlotTask& fn,
+                              const WatchdogConfig* watchdog) {
   if (pool_ == nullptr) {
     for (std::size_t i = 0; i < count; ++i) {
-      fn(i);
+      fn(i, 0);
     }
     return;
   }

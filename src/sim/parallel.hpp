@@ -51,6 +51,12 @@ struct WatchdogConfig {
   bool fatal = true;
 };
 
+/// A task of a batch that also learns which thread runs it: task(index,
+/// slot), with slot 0 for the thread that called run() or for_each() and
+/// slot w + 1 for pool worker w. A slot is always the same one thread, so
+/// a task may use scratch state indexed by its slot without locking.
+using SlotTask = std::function<void(std::size_t index, std::size_t slot)>;
+
 /// Work-stealing thread pool over indexed task batches (std::thread +
 /// std::mutex/std::condition_variable only, no external dependencies).
 ///
@@ -70,13 +76,18 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Run task(0) .. task(count-1), blocking until every index completed.
-  /// The first exception thrown by any task is rethrown here (remaining
-  /// tasks still run to completion, keeping the pool reusable). A watchdog
+  /// Threads that run a batch's tasks: every worker, plus the caller,
+  /// which drains worker 0's queue beside worker 0.
+  [[nodiscard]] std::size_t slots() const noexcept { return size() + 1; }
+
+  /// Run task(0, slot) .. task(count-1, slot), blocking until every index
+  /// completed; `slot` < slots() names the running thread (SlotTask). The
+  /// first exception thrown by any task is rethrown here (remaining tasks
+  /// still run to completion, keeping the pool reusable). A watchdog
   /// (optional) bounds the completion wait: it covers work executing on the
   /// pool's workers, not the indices the calling thread drains itself
   /// first.
-  void run(std::size_t count, const std::function<void(std::size_t)>& task,
+  void run(std::size_t count, const SlotTask& task,
            const WatchdogConfig* watchdog = nullptr);
 
  private:
@@ -87,7 +98,7 @@ class ThreadPool {
 
   void worker_loop(std::size_t self);
   [[nodiscard]] bool try_pop(std::size_t self, std::size_t& index);
-  void execute(std::size_t index);
+  void execute(std::size_t index, std::size_t slot);
 
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_;
@@ -95,7 +106,7 @@ class ThreadPool {
   std::mutex batch_mutex_;
   std::condition_variable batch_cv_;  ///< workers wait here between batches
   std::condition_variable done_cv_;   ///< run() waits here for completion
-  const std::function<void(std::size_t)>* task_ = nullptr;
+  const SlotTask* task_ = nullptr;
   std::uint64_t batch_epoch_ = 0;
   std::size_t remaining_ = 0;
   bool stop_ = false;
@@ -121,6 +132,12 @@ class ParallelRunner {
     return core::derive_seed(base, index);
   }
 
+  /// Threads a batch runs on, hence the slots its tasks see: 1 on the
+  /// serial fast path, else one per pool worker plus the caller.
+  [[nodiscard]] std::size_t slots() const noexcept {
+    return pool_ == nullptr ? 1 : pool_->slots();
+  }
+
   /// Ordered map: returns {fn(0), ..., fn(count-1)}. R must be default- and
   /// move-constructible. fn must not depend on execution order.
   template <typename R>
@@ -131,10 +148,25 @@ class ParallelRunner {
     return out;
   }
 
+  /// map() for tasks that take their slot (SlotTask): returns {fn(0, s0),
+  /// ..., fn(count-1, s)}. What fn returns must not depend on the slot.
+  template <typename R>
+  [[nodiscard]] std::vector<R> map(
+      std::size_t count, const std::function<R(std::size_t, std::size_t)>& fn) {
+    std::vector<R> out(count);
+    for_each(count,
+             [&out, &fn](std::size_t i, std::size_t slot) { out[i] = fn(i, slot); });
+    return out;
+  }
+
   /// Indexed for-each with the same ordering/determinism contract as map().
   /// The watchdog (optional) is forwarded to ThreadPool::run; the serial
   /// fast path ignores it (an inline loop cannot lose a worker).
   void for_each(std::size_t count, const std::function<void(std::size_t)>& fn,
+                const WatchdogConfig* watchdog = nullptr);
+
+  /// for_each() for tasks that take their slot (< slots()).
+  void for_each(std::size_t count, const SlotTask& fn,
                 const WatchdogConfig* watchdog = nullptr);
 
  private:

@@ -36,7 +36,7 @@ struct RebalanceOptions {
 };
 
 /// Drain `source` (sim/event_source.hpp) against `dc` (which must be
-/// fresh): replay_sharded with one shard and these three schedules. Rows
+/// fresh or reset, see Datacenter::reset): replay_sharded with one shard and these three schedules. Rows
 /// are pulled lazily, so resident memory is O(active window) — a multi-GB
 /// trace streams through without ever being materialized. With `rebalance`
 /// set, a consolidation pass runs every interval; with `usage_monitor` set,

@@ -137,7 +137,7 @@ const Knob kKnobs[] = {
     {"heat_alpha", "--heat-alpha", "X", SLACKVM_FIELD(config.interference.heat_alpha),
      {0, 1, true, false}, "heat EWMA smoothing factor"},
     {"heat_bucket", "--heat-bucket", "X", SLACKVM_FIELD(config.interference.heat_bucket),
-     above(0), "heat quantization bucket width"},
+     at_least(1e-3), "heat quantization bucket width"},
     {"heat_weight", "--heat-weight", "X", SLACKVM_FIELD(config.interference.heat_weight),
      at_least(0), "scorer penalty per unit of quantized heat"},
     {"itf_threshold", "--itf-threshold", "X", SLACKVM_FIELD(config.interference.threshold),

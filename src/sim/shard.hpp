@@ -114,8 +114,11 @@ struct ShardSample {
 [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>> shard_merge_order(
     std::span<const std::vector<ShardSample>> logs);
 
-/// Drain `source` (sim/event_source.hpp) against `dc` (which must be
-/// fresh) with the clusters sharded per `options`. Rows are pulled
+/// Drain `source` (sim/event_source.hpp) against `dc` with the clusters
+/// sharded per `options`. `dc` must be fresh or reset (Datacenter::reset):
+/// a reset datacenter keeps its grown containers and yields the RunResult
+/// a new one would, which is how the sweeps replay cell after cell on one
+/// datacenter per thread. Rows are pulled
 /// incrementally and routed to the shard owning their routed cluster
 /// (Datacenter::route), in row order, on the workload lane — lazily at one
 /// shard, a window at a time at S > 1 — so resident memory is O(active

@@ -11,7 +11,8 @@
 // progress score prefers. The same holds for dedicated First-Fit clusters,
 // whose placement index keeps its feasible hosts in bitsets, and for the
 // heat-bucket index under heat churn; a failed host keeps its VM vector,
-// so failing, repairing and refilling it costs only the victim list.
+// so failing, repairing and refilling it costs only the victim list. A
+// reset cluster replays the same churn without a single allocation.
 //
 // One level up, a whole one-shard replay of a 20k-row trace must allocate
 // a bounded number of times that does not grow with the row count: the
@@ -151,6 +152,36 @@ TEST(DeployRemoveAllocations, WarmedDedicatedFirstFitClusterChurnsWithoutAllocat
       static_cast<double>(allocations) / static_cast<double>(ops.size());
   EXPECT_LE(per_call, 0.01) << allocations << " allocations over " << ops.size()
                             << " deploy/remove calls";
+}
+
+TEST(ResetAllocations, ResetWarmedClusterReplaysTheSameChurnWithoutAllocating) {
+  // A reset cluster keeps every container (parked hosts with their VM
+  // vectors, directory slots, index classes, heaps, logs and arena
+  // columns), and replaying the same sequence needs no more than the first
+  // run grew: not one allocation, for the progress-score and the First-Fit
+  // indexes alike.
+  const std::vector<Op> ops = make_churn(20000);
+  for (const bool shared : {true, false}) {
+    Datacenter dc =
+        shared ? Datacenter::shared({32, gib(128)}, sched::make_progress_policy)
+               : Datacenter::dedicated({32, gib(128)},
+                                       {core::OversubLevel{1}, core::OversubLevel{2},
+                                        core::OversubLevel{3}},
+                                       sched::make_first_fit);
+    run(dc, ops);
+    const std::size_t opened = dc.opened_pms();
+    dc.reset();
+    ASSERT_EQ(dc.opened_pms(), 0U);
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    run(dc, ops);
+    dc.reset();
+    run(dc, ops);
+    const std::uint64_t allocations =
+        g_allocations.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(dc.opened_pms(), opened);
+    EXPECT_EQ(allocations, 0U) << (shared ? "shared" : "dedicated") << ": over "
+                               << 2 * ops.size() << " deploy/remove calls";
+  }
 }
 
 core::VmSpec quarter_host() {

@@ -136,5 +136,20 @@ TEST(HostBitset, RandomizedOpsMatchStdSet) {
   }
 }
 
+TEST(HostBitset, ClearEmptiesTheSetAndItRefills) {
+  HostBitset bits;
+  for (const HostId id : {HostId{3}, HostId{64}, HostId{4097}}) {
+    bits.set(id);
+  }
+  bits.clear();
+  EXPECT_TRUE(bits.empty());
+  EXPECT_EQ(bits.first(), std::nullopt);
+  EXPECT_TRUE(ascending(bits).empty());
+  bits.set(4097);
+  bits.set(5);
+  EXPECT_EQ(bits.first(), 5u);
+  EXPECT_EQ(ascending(bits), (std::vector<HostId>{5, 4097}));
+}
+
 }  // namespace
 }  // namespace slackvm::sched

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/error.hpp"
@@ -159,6 +161,55 @@ TEST(HostStateTest, EvictAllMatchesRemovingOneByOne) {
   const std::uint64_t settled = batch.epoch();
   EXPECT_TRUE(batch.evict_all().empty());
   EXPECT_EQ(batch.epoch(), settled);
+}
+
+TEST(HostStateTest, HeatPastTheLargestBucketFilesInIt) {
+  HostState host(0, kWorker);
+  // 1.0 / 1e-12 = 1e12 buckets: past the largest uint32_t, whose cast would
+  // be undefined. It files in the largest bucket instead.
+  host.set_heat(1.0, 1e-12);
+  EXPECT_EQ(host.heat_bucket(), std::numeric_limits<std::uint32_t>::max());
+  const std::uint64_t epoch = host.epoch();
+  host.set_heat(2.0, 1e-12);  // still the largest bucket: no epoch bump
+  EXPECT_EQ(host.epoch(), epoch);
+  // Quotients in range keep the bucket truncation gives them.
+  host.set_heat(4294967294.5, 1.0);
+  EXPECT_EQ(host.heat_bucket(), 4294967294U);
+  host.set_heat(4294967295.5, 1.0);
+  EXPECT_EQ(host.heat_bucket(), 4294967295U);
+  host.set_heat(0.6, 0.25);
+  EXPECT_EQ(host.heat_bucket(), 2U);
+  host.set_heat(0.6, 0.0);  // quantization off
+  EXPECT_EQ(host.heat_bucket(), 0U);
+}
+
+TEST(HostStateTest, ReviveLeavesTheStateOfANewHost) {
+  HostState used(3, kWorker);
+  used.add(VmId{1}, spec(4, gib(8), 2));
+  used.add(VmId{2}, spec(2, gib(4), 1));
+  used.reserve(VmId{9}, spec(1, gib(1), 1));
+  used.set_heat(1.3, 0.25);
+  used.set_phase(HostPhase::kDraining);
+  const core::Resources other{16, gib(64)};
+  used.revive(7, other, 1.5);
+  const HostState fresh(7, other, 1.5);
+  EXPECT_EQ(used.id(), fresh.id());
+  EXPECT_EQ(used.config(), fresh.config());
+  EXPECT_EQ(used.mem_oversub(), fresh.mem_oversub());
+  EXPECT_EQ(used.epoch(), 0U);
+  EXPECT_EQ(used.phase(), HostPhase::kUp);
+  EXPECT_EQ(used.alloc(), fresh.alloc());
+  EXPECT_EQ(used.heat(), 0.0);
+  EXPECT_EQ(used.heat_bucket(), 0U);
+  EXPECT_EQ(used.heat_bucket_width(), 0.0);
+  EXPECT_TRUE(used.empty());
+  EXPECT_EQ(used.reservation_count(), 0U);
+  EXPECT_TRUE(used.level_commitments().empty());
+  EXPECT_EQ(used.mem_capacity(), fresh.mem_capacity());
+  // It fills like a new host.
+  used.add(VmId{5}, spec(4, gib(8), 2));
+  EXPECT_EQ(used.alloc(), (core::Resources{2, gib(8)}));
+  EXPECT_EQ(used.epoch(), 1U);
 }
 
 }  // namespace

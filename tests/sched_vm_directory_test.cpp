@@ -195,5 +195,51 @@ TEST(VmDirectoryTest, MatchesUnorderedMapUnderRandomChurn) {
   EXPECT_GE(ops, 100000U);
 }
 
+TEST(VmDirectoryTest, TryInsertRefusesADuplicateAndChangesNothing) {
+  VmDirectory table;
+  HostId* entry = table.try_insert(VmId{7}, 3);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(*entry, 3U);
+  *entry = 4;  // the returned entry is the stored one
+  EXPECT_EQ(*table.find(VmId{7}), 4U);
+  // Fill to just under the growth threshold: a duplicate must be refused
+  // before the table would grow for it.
+  for (std::uint64_t key = 100; 4 * (table.size() + 1) <= 3 * table.capacity(); ++key) {
+    ASSERT_NE(table.try_insert(VmId{key}, 1), nullptr);
+  }
+  const std::size_t capacity = table.capacity();
+  const std::size_t size = table.size();
+  EXPECT_EQ(table.try_insert(VmId{7}, 9), nullptr);
+  EXPECT_EQ(table.capacity(), capacity);
+  EXPECT_EQ(table.size(), size);
+  EXPECT_EQ(*table.find(VmId{7}), 4U);
+  // A new key past the threshold grows the table and is still found.
+  ASSERT_NE(table.try_insert(VmId{8}, 2), nullptr);
+  EXPECT_GT(table.capacity(), capacity);
+  EXPECT_EQ(*table.find(VmId{8}), 2U);
+  EXPECT_EQ(*table.find(VmId{7}), 4U);
+}
+
+TEST(VmDirectoryTest, ResetEmptiesTheTableAndKeepsItsCapacity) {
+  VmDirectory table;
+  for (std::uint64_t key = 1; key <= 1000; ++key) {
+    table.insert(VmId{key}, static_cast<HostId>(key % 7));
+  }
+  const std::size_t capacity = table.capacity();
+  table.reset();
+  EXPECT_EQ(table.size(), 0U);
+  EXPECT_EQ(table.capacity(), capacity);
+  for (std::uint64_t key = 1; key <= 1000; ++key) {
+    ASSERT_EQ(table.find(VmId{key}), nullptr) << key;
+  }
+  std::unordered_map<std::uint64_t, HostId> reference;
+  for (std::uint64_t key = 500; key <= 1400; ++key) {
+    table.insert(VmId{key}, 2);
+    reference.emplace(key, 2);
+  }
+  expect_same(table, reference);
+  EXPECT_EQ(table.capacity(), capacity);
+}
+
 }  // namespace
 }  // namespace slackvm::sched

@@ -13,8 +13,11 @@
 #include <thread>
 #include <vector>
 
+#include "sched/policy.hpp"
 #include "sim/audit.hpp"
 #include "sim/experiment.hpp"
+#include "sim/shard.hpp"
+#include "workload/generator.hpp"
 
 namespace slackvm::sim {
 namespace {
@@ -33,30 +36,81 @@ ExperimentConfig small_config(std::size_t repetitions) {
   return cfg;
 }
 
-// Bit-exact equality on every RunResult field (EXPECT_EQ on the doubles is
-// deliberate: the guarantee is identical bits, not approximate agreement).
-void expect_identical(const RunResult& serial, const RunResult& parallel) {
-  EXPECT_EQ(serial.opened_pms, parallel.opened_pms);
-  EXPECT_EQ(serial.peak_active_pms, parallel.peak_active_pms);
-  EXPECT_EQ(serial.migrations, parallel.migrations);
-  EXPECT_EQ(serial.opened_per_cluster, parallel.opened_per_cluster);
-  EXPECT_EQ(serial.placed_vms, parallel.placed_vms);
-  EXPECT_EQ(serial.peak_vms, parallel.peak_vms);
-  EXPECT_EQ(serial.avg_unalloc_cpu_share, parallel.avg_unalloc_cpu_share);
-  EXPECT_EQ(serial.avg_unalloc_mem_share, parallel.avg_unalloc_mem_share);
-  EXPECT_EQ(serial.peak_unalloc_cpu_share, parallel.peak_unalloc_cpu_share);
-  EXPECT_EQ(serial.peak_unalloc_mem_share, parallel.peak_unalloc_mem_share);
-  EXPECT_EQ(serial.duration, parallel.duration);
-  EXPECT_EQ(serial.avg_active_pms, parallel.avg_active_pms);
-  EXPECT_EQ(serial.avg_alloc_cores, parallel.avg_alloc_cores);
+// Bit-exact equality on every field (RunResult's operator== compares the
+// doubles exactly: the guarantee is identical bits, not approximate
+// agreement). The counters are printed on a mismatch.
+void expect_identical(const RunResult& expected, const RunResult& actual) {
+  EXPECT_TRUE(expected == actual)
+      << "opened " << expected.opened_pms << " vs " << actual.opened_pms << ", placed "
+      << expected.placed_vms << " vs " << actual.placed_vms << ", failures "
+      << expected.host_failures << " vs " << actual.host_failures << ", mig_committed "
+      << expected.mig_committed << " vs " << actual.mig_committed << ", itf_evictions "
+      << expected.itf_evictions << " vs " << actual.itf_evictions;
 }
 
-void expect_identical(const PackingComparison& serial,
-                      const PackingComparison& parallel) {
-  EXPECT_EQ(serial.provider, parallel.provider);
-  EXPECT_EQ(serial.distribution, parallel.distribution);
-  expect_identical(serial.baseline, parallel.baseline);
-  expect_identical(serial.slackvm, parallel.slackvm);
+void expect_identical(const PackingComparison& expected,
+                      const PackingComparison& actual) {
+  EXPECT_EQ(expected.provider, actual.provider);
+  EXPECT_EQ(expected.distribution, actual.distribution);
+  expect_identical(expected.baseline, actual.baseline);
+  expect_identical(expected.slackvm, actual.slackvm);
+}
+
+/// Every control-plane layer on: seed-derived faults with drains ahead of
+/// them, engine migrations and the interference loop. Reused datacenters
+/// then carry failed hosts, reservations, heat and an armed membership
+/// journal from one cell into the next.
+void arm_control_plane(ExperimentConfig& cfg) {
+  cfg.faults.count = 6;
+  cfg.faults.repair_delay = 3600.0;
+  cfg.faults.drain_lead = 1800.0;
+  cfg.rebalance_interval = 4.0 * 3600;
+  cfg.rebalance_budget = 16;
+  cfg.migration.enabled = true;
+  cfg.interference.enabled = true;
+}
+
+/// run_distribution_sweep as it read before cells shared datacenters: every
+/// cell replays on datacenters built for it alone, serially.
+std::vector<PackingComparison> fresh_datacenter_sweep(const workload::Catalog& catalog,
+                                                      const ExperimentConfig& config) {
+  std::vector<PackingComparison> out;
+  for (const workload::LevelMix& mix : workload::paper_distributions()) {
+    std::vector<RunResult> baseline;
+    std::vector<RunResult> slackvm;
+    for (std::size_t rep = 0; rep < config.repetitions; ++rep) {
+      workload::GeneratorConfig gen = config.generator;
+      gen.seed = config.generator.seed + rep;
+      const workload::Trace trace = workload::Generator(catalog, mix, gen).generate();
+      std::vector<core::OversubLevel> levels;
+      for (const std::uint8_t ratio : core::kPaperLevelRatios) {
+        if (mix.share(core::OversubLevel{ratio}) > 0.0) {
+          levels.push_back(core::OversubLevel{ratio});
+        }
+      }
+      const FaultConfig faults = resolve_fault_seed(config.faults, gen.seed);
+      ShardOptions options;
+      options.rebalance = rebalance_options(config);
+      options.faults = faults.enabled() ? &faults : nullptr;
+      Datacenter dedicated = Datacenter::dedicated(config.host_config, levels,
+                                                   sched::make_first_fit, config.mem_oversub);
+      baseline.push_back(replay_sharded(dedicated, trace, options));
+      const double weight = config.interference.heat_weight;
+      const PolicyFactory policy =
+          config.interference.enabled
+              ? PolicyFactory([weight] { return sched::make_interference_policy(weight); })
+              : PolicyFactory(sched::make_progress_policy);
+      Datacenter shared = Datacenter::shared(config.host_config, policy, config.mem_oversub);
+      slackvm.push_back(replay_sharded(shared, trace, options));
+    }
+    PackingComparison cmp;
+    cmp.provider = catalog.provider();
+    cmp.distribution = mix.name;
+    cmp.baseline = mean_result(baseline);
+    cmp.slackvm = mean_result(slackvm);
+    out.push_back(cmp);
+  }
+  return out;
 }
 
 TEST(ParallelDifferential, ComparePackingMatchesSerialEverywhere) {
@@ -103,6 +157,64 @@ TEST(ParallelDifferential, DistributionSweepMatchesSerialEverywhere) {
   }
 }
 
+TEST(ParallelDifferential, ControlPlaneSweepMatchesSerialEverywhere) {
+  ScopedDebugAudit audit_every_event;
+  ExperimentConfig cfg = small_config(2);
+  cfg.generator.target_population = 40;
+  arm_control_plane(cfg);
+  const std::vector<PackingComparison> serial =
+      run_distribution_sweep(workload::ovhcloud_catalog(), cfg);
+  ASSERT_EQ(serial.size(), 15U);
+  std::size_t failures = 0;
+  std::size_t committed = 0;
+  std::size_t itf_passes = 0;
+  for (const PackingComparison& cmp : serial) {
+    failures += cmp.baseline.host_failures + cmp.slackvm.host_failures;
+    committed += cmp.baseline.mig_committed + cmp.slackvm.mig_committed;
+    itf_passes += cmp.baseline.itf_passes + cmp.slackvm.itf_passes;
+  }
+  EXPECT_GT(failures, 0U);
+  EXPECT_GT(committed, 0U);
+  EXPECT_GT(itf_passes, 0U);
+  for (std::size_t threads : kThreadCounts) {
+    cfg.parallelism = threads;
+    const std::vector<PackingComparison> parallel =
+        run_distribution_sweep(workload::ovhcloud_catalog(), cfg);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      SCOPED_TRACE("distribution " + serial[i].distribution + " threads " +
+                   std::to_string(threads));
+      expect_identical(serial[i], parallel[i]);
+    }
+  }
+}
+
+TEST(ParallelDifferential, SweepOnReusedDatacentersMatchesFreshOnes) {
+  // Cells reuse their thread's datacenters (reset between cells); the
+  // reference builds new ones for every cell. Equal at every thread count,
+  // with the control plane off and on.
+  for (const bool plane : {false, true}) {
+    ExperimentConfig cfg = small_config(2);
+    cfg.generator.target_population = 40;
+    if (plane) {
+      arm_control_plane(cfg);
+    }
+    const std::vector<PackingComparison> reference =
+        fresh_datacenter_sweep(workload::azure_catalog(), cfg);
+    for (std::size_t threads : kThreadCounts) {
+      cfg.parallelism = threads;
+      const std::vector<PackingComparison> sweep =
+          run_distribution_sweep(workload::azure_catalog(), cfg);
+      ASSERT_EQ(sweep.size(), reference.size());
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        SCOPED_TRACE("distribution " + reference[i].distribution + " control plane " +
+                     std::to_string(plane) + " threads " + std::to_string(threads));
+        expect_identical(reference[i], sweep[i]);
+      }
+    }
+  }
+}
+
 TEST(ParallelDifferential, SavingsHeatmapMatchesSerial) {
   ExperimentConfig cfg = small_config(1);
   cfg.generator.target_population = 40;
@@ -135,7 +247,7 @@ TEST(ThreadPoolTest, ExecutesEveryIndexExactlyOnce) {
     for (std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{5},
                               std::size_t{64}, std::size_t{257}}) {
       std::vector<std::atomic<int>> hits(count);
-      pool.run(count, [&hits](std::size_t i) { ++hits[i]; });
+      pool.run(count, [&hits](std::size_t i, std::size_t) { ++hits[i]; });
       for (std::size_t i = 0; i < count; ++i) {
         EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
       }
@@ -147,7 +259,7 @@ TEST(ThreadPoolTest, ReusableAcrossBatches) {
   ThreadPool pool(4);
   std::atomic<std::size_t> total{0};
   for (int batch = 0; batch < 10; ++batch) {
-    pool.run(32, [&total](std::size_t) { ++total; });
+    pool.run(32, [&total](std::size_t, std::size_t) { ++total; });
   }
   EXPECT_EQ(total.load(), 320U);
 }
@@ -155,7 +267,7 @@ TEST(ThreadPoolTest, ReusableAcrossBatches) {
 TEST(ThreadPoolTest, PropagatesTaskExceptions) {
   ThreadPool pool(2);
   EXPECT_THROW(pool.run(16,
-                        [](std::size_t i) {
+                        [](std::size_t i, std::size_t) {
                           if (i == 7) {
                             throw std::runtime_error("cell 7 failed");
                           }
@@ -163,7 +275,7 @@ TEST(ThreadPoolTest, PropagatesTaskExceptions) {
                std::runtime_error);
   // The pool survives a throwing batch.
   std::atomic<std::size_t> total{0};
-  pool.run(8, [&total](std::size_t) { ++total; });
+  pool.run(8, [&total](std::size_t, std::size_t) { ++total; });
   EXPECT_EQ(total.load(), 8U);
 }
 
@@ -186,7 +298,7 @@ TEST(ThreadPoolTest, NonFatalWatchdogDumpsAndKeepsWaiting) {
   };
   pool.run(
       16,
-      [&](std::size_t) {
+      [&](std::size_t, std::size_t) {
         executed.fetch_add(1);
         if (std::this_thread::get_id() == caller) {
           // The caller drains its share before it starts watching the pool;
@@ -217,6 +329,35 @@ TEST(ParallelRunnerTest, MapReturnsResultsInIndexOrder) {
     for (std::size_t i = 0; i < out.size(); ++i) {
       EXPECT_EQ(out[i], i * i);
     }
+  }
+}
+
+TEST(ParallelRunnerTest, EachSlotIsOneThreadAtATime) {
+  // The caller drains worker 0's queue beside worker 0, so a pool of n
+  // workers runs tasks on n + 1 threads: one slot each, never shared.
+  for (std::size_t threads : kThreadCounts) {
+    ParallelRunner runner(threads);
+    ASSERT_EQ(runner.slots(), threads);
+    std::vector<std::atomic<int>> running(runner.slots());
+    std::vector<std::thread::id> owner(runner.slots());
+    std::atomic<bool> clash{false};
+    std::atomic<std::size_t> total{0};
+    runner.for_each(256, [&](std::size_t, std::size_t slot) {
+      ASSERT_LT(slot, running.size());
+      if (running[slot].fetch_add(1) != 0) {
+        clash = true;
+      }
+      if (owner[slot] == std::thread::id{}) {
+        owner[slot] = std::this_thread::get_id();
+      } else if (owner[slot] != std::this_thread::get_id()) {
+        clash = true;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      running[slot].fetch_sub(1);
+      ++total;
+    });
+    EXPECT_FALSE(clash.load()) << threads << " threads";
+    EXPECT_EQ(total.load(), 256U);
   }
 }
 
