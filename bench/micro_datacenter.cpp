@@ -14,8 +14,8 @@
 //  2. *Hyperscale* — placement index on, 8 shards: simulate >= 100k opened
 //     hosts (>= 200k VMs) in one run and report events/sec. The per-event
 //     O(cluster) aggregate wall the serial observer used to pay is gone
-//     (struct-of-arrays arena running totals), so the event rate stays flat
-//     as the fleet grows.
+//     (each VCluster keeps running totals), so the event rate stays flat as
+//     the fleet grows.
 //
 // Every timed configuration is also re-run at 8 pool threads and checked
 // bit-identical to the single-threaded run — the engine's determinism

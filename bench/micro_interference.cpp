@@ -146,7 +146,7 @@ ScoreResult bench_scorer(const sched::VCluster& cl, const sched::Scorer& scorer,
     const auto start = Clock::now();
     for (std::size_t i = 0; i < iters; ++i) {
       for (const sched::HostState& host : cl.hosts()) {
-        sink += scorer.score(host, probe);
+        sink += scorer.score(host.load(), probe);
         ++calls;
       }
     }
@@ -257,17 +257,11 @@ struct PlanCase {
 class CountingScorer final : public sched::Scorer {
  public:
   explicit CountingScorer(std::size_t& evals) : evals_(&evals) {}
-  [[nodiscard]] double score(const sched::HostState& host,
+  [[nodiscard]] double score(const sched::HostLoad& host,
                              const core::VmSpec& spec) const override {
     ++*evals_;
     return inner_.score(host, spec);
   }
-  [[nodiscard]] double score(const sched::HostCols& host,
-                             const core::VmSpec& spec) const override {
-    ++*evals_;
-    return inner_.score(host, spec);
-  }
-  [[nodiscard]] bool supports_cols() const noexcept override { return true; }
   [[nodiscard]] std::string name() const override { return "counting"; }
 
  private:

@@ -87,7 +87,7 @@ void BM_ProgressScoreSingleHost(benchmark::State& state) {
   const sched::ProgressScorer scorer;
   const core::VmSpec spec = random_spec(rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scorer.score(cluster.front(), spec));
+    benchmark::DoNotOptimize(scorer.score(cluster.front().load(), spec));
   }
 }
 BENCHMARK(BM_ProgressScoreSingleHost);

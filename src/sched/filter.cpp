@@ -39,7 +39,7 @@ HeadroomFilter::HeadroomFilter(double cpu_headroom, double mem_headroom)
 bool HeadroomFilter::admits(const HostState& host, const core::VmSpec& spec) const {
   const auto cpu_cap = static_cast<double>(host.config().cores) * (1.0 - cpu_headroom_);
   const auto mem_cap = static_cast<double>(host.config().mem_mib) * (1.0 - mem_headroom_);
-  return static_cast<double>(host.cores_with(spec)) <= cpu_cap &&
+  return static_cast<double>(host.load().cores_with(spec)) <= cpu_cap &&
          static_cast<double>(host.alloc().mem_mib + spec.mem_mib) <= mem_cap;
 }
 

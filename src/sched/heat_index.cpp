@@ -36,7 +36,7 @@ void HeatIndex::reset() noexcept {
 }
 
 void HeatIndex::update(const HostState& host) {
-  const double width = host.heat_bucket_width();
+  const double width = host.load().heat_bucket_width;
   if (width > 0.0) {
     if (width_ == 0.0) {
       width_ = width;

@@ -96,7 +96,7 @@ std::size_t pack_bfd(std::span<const core::VmSpec> vms, const core::Resources& h
             continue;
           }
           const double residual =
-              static_cast<double>(host.cores - hosts[h].cores_with(vm)) /
+              static_cast<double>(host.cores - hosts[h].load().cores_with(vm)) /
                   static_cast<double>(host.cores) +
               static_cast<double>(host.mem_mib - hosts[h].alloc().mem_mib -
                                   vm.mem_mib) /

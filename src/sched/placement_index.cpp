@@ -16,17 +16,15 @@ std::size_t PlacementIndex::KeyHash::operator()(const Key& k) const noexcept {
 PlacementIndex::PlacementIndex(Mode mode, const Scorer* scorer)
     : mode_(mode), scorer_(scorer) {
   SLACKVM_ASSERT(mode_ != Mode::kScore || scorer_ != nullptr);
-  score_cols_ = mode_ == Mode::kScore && scorer_->supports_cols();
 }
 
 void PlacementIndex::touch(HostId host) { dirty_log_.push_back(host); }
 
 std::optional<HostId> PlacementIndex::select(std::span<const HostState> hosts,
-                                             const core::VmSpec& spec,
-                                             const HostArena* arena) {
-  compact_log(hosts, arena);
-  PerClass& pc = class_for(hosts, spec, arena);
-  sync(pc, hosts, arena);
+                                             const core::VmSpec& spec) {
+  compact_log(hosts);
+  PerClass& pc = class_for(hosts, spec);
+  sync(pc, hosts);
 
   if (mode_ == Mode::kFirstFit) {
     // The set is exact after sync(): lowest feasible id == First-Fit.
@@ -49,11 +47,10 @@ std::optional<HostId> PlacementIndex::select(std::span<const HostState> hosts,
   return std::nullopt;
 }
 
-void PlacementIndex::sync_all(std::span<const HostState> hosts,
-                              const HostArena* arena) {
+void PlacementIndex::sync_all(std::span<const HostState> hosts) {
   for (PerClass& pc : classes_) {
     if (pc.live) {
-      sync(pc, hosts, arena);
+      sync(pc, hosts);
     }
     pc.cursor = 0;
   }
@@ -72,8 +69,7 @@ void PlacementIndex::reset() noexcept {
 }
 
 PlacementIndex::PerClass& PlacementIndex::class_for(std::span<const HostState> hosts,
-                                                    const core::VmSpec& spec,
-                                                    const HostArena* arena) {
+                                                    const core::VmSpec& spec) {
   const Key key{spec.vcpus, spec.mem_mib, spec.level.ratio()};
   const auto [it, inserted] =
       ids_.try_emplace(key, static_cast<SpecClassId>(classes_.size()));
@@ -89,21 +85,20 @@ PlacementIndex::PerClass& PlacementIndex::class_for(std::span<const HostState> h
     pc.live = true;
     pc.cursor = dirty_log_.size();
     for (const HostState& host : hosts) {
-      update_host(pc, host, arena);
+      update_host(pc, host);
     }
   }
   return pc;
 }
 
-void PlacementIndex::sync(PerClass& pc, std::span<const HostState> hosts,
-                          const HostArena* arena) {
+void PlacementIndex::sync(PerClass& pc, std::span<const HostState> hosts) {
   while (pc.cursor < dirty_log_.size()) {
     const HostId host = dirty_log_[pc.cursor++];
     // Ids at or past the live range belong to rolled-back host openings
     // (VCluster::try_place); if the id is ever reopened a fresh log entry
     // re-evaluates it from its live state.
     if (host < hosts.size()) {
-      update_host(pc, hosts[host], arena);
+      update_host(pc, hosts[host]);
     }
   }
   if (mode_ == Mode::kScore) {
@@ -111,21 +106,18 @@ void PlacementIndex::sync(PerClass& pc, std::span<const HostState> hosts,
   }
 }
 
-void PlacementIndex::update_host(PerClass& pc, const HostState& host,
-                                 const HostArena* arena) {
+void PlacementIndex::update_host(PerClass& pc, const HostState& host) {
   const HostId id = host.id();
+  const HostLoad& load = host.load();
   if (mode_ == Mode::kScore) {
     if (id >= pc.pushed.size()) {
       pc.pushed.resize(std::size_t{id} + 1, kNeverPushed);
     }
-    if (pc.pushed[id] == host.epoch()) {
+    if (pc.pushed[id] == load.epoch) {
       return;  // an entry for this exact state is already in the heap
     }
   }
-  // The arena mirrors the host exactly, so both branches answer the same;
-  // the columnar one streams linearly during class seeding and batch syncs.
-  const bool feasible =
-      arena != nullptr ? arena->can_host(id, pc.spec) : host.can_host(pc.spec);
+  const bool feasible = load.can_host(pc.spec);
   if (mode_ == Mode::kFirstFit) {
     if (feasible) {
       pc.feasible.set(id);
@@ -139,22 +131,18 @@ void PlacementIndex::update_host(PerClass& pc, const HostState& host,
     // and get dropped when they surface at the heap top.
     return;
   }
-  pc.pushed[id] = host.epoch();
-  const double score = score_cols_ && arena != nullptr
-                           ? scorer_->score(arena->cols(id), pc.spec)
-                           : scorer_->score(host, pc.spec);
-  pc.heap.push_back(Entry{score, id, host.epoch()});
+  pc.pushed[id] = load.epoch;
+  pc.heap.push_back(Entry{scorer_->score(load, pc.spec), id, load.epoch});
   std::push_heap(pc.heap.begin(), pc.heap.end(), entry_less);
 }
 
-void PlacementIndex::compact_log(std::span<const HostState> hosts,
-                                 const HostArena* arena) {
+void PlacementIndex::compact_log(std::span<const HostState> hosts) {
   // Mutations append forever; once the log dwarfs the fleet, bring every
   // class up to date and drop it. Amortized O(classes) per mutation.
   if (dirty_log_.size() < 1024 || dirty_log_.size() < 8 * hosts.size()) {
     return;
   }
-  sync_all(hosts, arena);
+  sync_all(hosts);
 }
 
 void PlacementIndex::compact_heap(PerClass& pc, std::span<const HostState> hosts) {

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "core/vm.hpp"
-#include "sched/host_arena.hpp"
 #include "sched/host_bitset.hpp"
 #include "sched/host_state.hpp"
 #include "sched/scorer.hpp"
@@ -62,19 +61,15 @@ class PlacementIndex {
 
   /// The host the matching naive policy scan would pick for `spec`, or
   /// nullopt when no open host admits it. `hosts` must be the cluster's
-  /// live host vector (ids == indices). Amortized O(dirty + log N). When
-  /// `arena` (the cluster's SoA mirror of the same hosts) is passed,
-  /// feasibility checks stream over its columns instead of the host
-  /// objects; the mirror is exact, so the selection is identical.
+  /// live host vector (ids == indices). Amortized O(dirty + log N).
   [[nodiscard]] std::optional<HostId> select(std::span<const HostState> hosts,
-                                             const core::VmSpec& spec,
-                                             const HostArena* arena = nullptr);
+                                             const core::VmSpec& spec);
 
   /// Replay the whole dirty log into every spec class and drop it — the
   /// compact_log body without its amortization threshold. VCluster batches
   /// this at shard barriers so per-event mutations stay O(1) appends while
   /// the log never outlives a barrier window.
-  void sync_all(std::span<const HostState> hosts, const HostArena* arena = nullptr);
+  void sync_all(std::span<const HostState> hosts);
 
   /// Drop everything cached and keep the storage: the dirty log and every
   /// class's candidates go, and each class goes dormant until its next
@@ -131,23 +126,20 @@ class PlacementIndex {
   /// the first strictly-greater score while iterating ids in ascending
   /// order, so the winner is the lowest id among the maximal scores. Score
   /// doubles compare exactly — both paths run the identical Scorer on the
-  /// identical HostState, so equal means bitwise equal.
+  /// identical HostLoad, so equal means bitwise equal.
   static bool entry_less(const Entry& a, const Entry& b) noexcept {
     return a.score != b.score ? a.score < b.score : a.host > b.host;
   }
 
   [[nodiscard]] PerClass& class_for(std::span<const HostState> hosts,
-                                    const core::VmSpec& spec, const HostArena* arena);
-  void sync(PerClass& pc, std::span<const HostState> hosts, const HostArena* arena);
-  void update_host(PerClass& pc, const HostState& host, const HostArena* arena);
-  void compact_log(std::span<const HostState> hosts, const HostArena* arena);
+                                    const core::VmSpec& spec);
+  void sync(PerClass& pc, std::span<const HostState> hosts);
+  void update_host(PerClass& pc, const HostState& host);
+  void compact_log(std::span<const HostState> hosts);
   void compact_heap(PerClass& pc, std::span<const HostState> hosts);
 
   Mode mode_;
   const Scorer* scorer_;
-  /// kScore with a columnar scorer: entries are scored from the arena row
-  /// whenever select() is given one (HostCols mirrors the host exactly).
-  bool score_cols_ = false;
   std::unordered_map<Key, SpecClassId, KeyHash> ids_;
   std::vector<PerClass> classes_;
   std::vector<HostId> dirty_log_;

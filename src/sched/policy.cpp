@@ -28,7 +28,7 @@ std::optional<HostId> ScorePolicy::select(std::span<const HostState> hosts,
     if (!admits(host, spec, extra)) {
       continue;
     }
-    const double s = scorer_->score(host, spec);
+    const double s = scorer_->score(host.load(), spec);
     if (!best || s > best_score) {
       best = host.id();
       best_score = s;

@@ -22,18 +22,11 @@ void InterferenceOptions::validate() const {
   SLACKVM_ASSERT(evictions_per_pass > 0);
 }
 
-Rebalancer::Rebalancer(std::unique_ptr<Scorer> scorer) : scorer_(std::move(scorer)) {
-  if (!scorer_) {
-    scorer_ = std::make_unique<ProgressScorer>();
-  }
-}
-
 MigrationPlan Rebalancer::plan(const VCluster& cluster,
                                std::size_t max_migrations) const {
-  // The incremental path needs columnar scores; a scorer that cannot provide
-  // them (or a cluster with its index switched off) falls back to the verbatim naive
-  // pass, keeping both differentially comparable.
-  if (cluster.index_enabled() && scorer_->supports_cols()) {
+  // A cluster with its index switched off runs the verbatim naive pass,
+  // keeping both differentially comparable.
+  if (cluster.index_enabled()) {
     return plan_incremental(cluster, max_migrations);
   }
   return plan_naive(cluster, max_migrations);
@@ -84,7 +77,7 @@ MigrationPlan Rebalancer::plan_naive(const VCluster& cluster,
         if (h == *candidate || emptied[h] || !hosts[h].can_host(spec)) {
           continue;
         }
-        const double score = scorer_->score(hosts[h], spec);
+        const double score = scorer().score(hosts[h].load(), spec);
         if (!best || score > best_score) {
           best = h;
           best_score = score;
@@ -216,37 +209,28 @@ MigrationPlan Rebalancer::plan_interference_naive(
   return plan;
 }
 
-// --- PlanScratch: columnar planning state ----------------------------------
+// --- PlanScratch: planning state --------------------------------------------
 
-void Rebalancer::PlanScratch::load(const HostArena& arena) {
-  // Columns grow geometrically: the fleet opens hosts between passes, and an
+void Rebalancer::PlanScratch::load(std::span<const HostState> hosts) {
+  // Vectors grow geometrically: the fleet opens hosts between passes, and an
   // assign past capacity would allocate the exact size every time.
-  const auto reserve = [](auto& dst, std::size_t size) {
-    if (dst.capacity() < size) {
-      dst.reserve(std::max(size, 2 * dst.capacity()));
+  const std::size_t n = hosts.size();
+  const auto reserve = [n](auto& dst) {
+    if (dst.capacity() < n) {
+      dst.reserve(std::max(n, 2 * dst.capacity()));
     }
   };
-  const auto assign = [&reserve](auto& dst, auto src) {
-    reserve(dst, src.size());
-    dst.assign(src.begin(), src.end());
-  };
-  assign(phase, arena.phase_col());
-  assign(alloc_cores, arena.alloc_cores_col());
-  assign(committed_mem, arena.committed_mem_col());
-  assign(mem_capacity, arena.mem_capacity_col());
-  assign(config_cores, arena.config_cores_col());
-  assign(config_mem, arena.config_mem_col());
-  assign(vm_count, arena.vm_count_col());
-  assign(heat, arena.heat_col());
-  assign(vcpus_per_level, arena.vcpus_per_level_col());
-  const std::size_t n = arena.size();
-  quantized_heat.resize(n);
-  for (HostId h = 0; h < n; ++h) {
-    quantized_heat[h] = arena.quantized_heat(h);
+  reserve(loads);
+  reserve(vm_count);
+  loads.clear();
+  vm_count.clear();
+  for (const HostState& host : hosts) {
+    loads.push_back(host.load());
+    vm_count.push_back(static_cast<std::uint32_t>(host.vm_count()));
   }
-  reserve(attempted, n);
+  reserve(attempted);
   attempted.assign(n, 0);
-  reserve(emptied, n);
+  reserve(emptied);
   emptied.assign(n, 0);
   // Reset only what the previous pass touched; everything else is already
   // clear, so a warm pass does no O(fleet) flag sweeps beyond the assigns.
@@ -257,7 +241,7 @@ void Rebalancer::PlanScratch::load(const HostArena& arena) {
   }
   shifted_list.clear();
   shifted.resize(n, 0);
-  reserve(last_gain, n);
+  reserve(last_gain);
   last_gain.assign(n, kNoMove);
   source_vms.clear();
   undo.clear();
@@ -268,56 +252,17 @@ void Rebalancer::PlanScratch::load(const HostArena& arena) {
   drain_source = kNoHost;
 }
 
-bool Rebalancer::PlanScratch::can_host(HostId host,
-                                       const core::VmSpec& spec) const noexcept {
-  if (static_cast<HostPhase>(phase[host]) != HostPhase::kUp) {
-    return false;
-  }
-  if (committed_mem[host] + spec.mem_mib > mem_capacity[host]) {
-    return false;
-  }
-  const std::uint8_t ratio = spec.level.ratio();
-  const core::VcpuCount committed =
-      vcpus_per_level[std::size_t{host} * kLevels + ratio];
-  const core::CoreCount cores =
-      alloc_cores[host] - core::ceil_div<core::CoreCount>(committed, ratio) +
-      core::ceil_div<core::CoreCount>(committed + spec.vcpus, ratio);
-  return cores <= config_cores[host];
-}
-
-HostCols Rebalancer::PlanScratch::cols(HostId host) const noexcept {
-  return HostCols{config_cores[host],
-                  config_mem[host],
-                  alloc_cores[host],
-                  committed_mem[host],
-                  quantized_heat[host],
-                  &vcpus_per_level[std::size_t{host} * kLevels]};
-}
-
-void Rebalancer::PlanScratch::apply_move_cols(const core::VmSpec& spec,
-                                              HostId from, HostId to) noexcept {
-  const std::uint8_t ratio = spec.level.ratio();
-  {
-    core::VcpuCount& level = vcpus_per_level[std::size_t{from} * kLevels + ratio];
-    const auto before = core::ceil_div<core::CoreCount>(level, ratio);
-    level -= spec.vcpus;
-    alloc_cores[from] += core::ceil_div<core::CoreCount>(level, ratio) - before;
-    committed_mem[from] -= spec.mem_mib;
-    --vm_count[from];
-  }
-  {
-    core::VcpuCount& level = vcpus_per_level[std::size_t{to} * kLevels + ratio];
-    const auto before = core::ceil_div<core::CoreCount>(level, ratio);
-    level += spec.vcpus;
-    alloc_cores[to] += core::ceil_div<core::CoreCount>(level, ratio) - before;
-    committed_mem[to] += spec.mem_mib;
-    ++vm_count[to];
-  }
+void Rebalancer::PlanScratch::shift(const core::VmSpec& spec, HostId from,
+                                    HostId to) noexcept {
+  loads[from].unbook(spec);
+  --vm_count[from];
+  loads[to].book(spec);
+  ++vm_count[to];
 }
 
 void Rebalancer::PlanScratch::move_vm(core::VmId vm, const core::VmSpec& spec,
                                       HostId from, HostId to) {
-  apply_move_cols(spec, from, to);
+  shift(spec, from, to);
   undo.push_back(Undo{vm, spec, from, to, last_gain[to]});
   last_gain[to] = undo.size() - 1;
 }
@@ -325,7 +270,7 @@ void Rebalancer::PlanScratch::move_vm(core::VmId vm, const core::VmSpec& spec,
 void Rebalancer::PlanScratch::roll_back_to(std::size_t mark) {
   while (undo.size() > mark) {
     const Undo& last = undo.back();
-    apply_move_cols(last.spec, last.to, last.from);
+    shift(last.spec, last.to, last.from);
     last_gain[last.to] = last.prev_gain;
     undo.pop_back();
   }
@@ -360,10 +305,10 @@ void Rebalancer::PlanScratch::begin_drain(HostId source) {
 
 Rebalancer::PlanScratch::Winner Rebalancer::PlanScratch::leaf(
     HostId host, const core::VmSpec& spec, const Scorer& scorer) const {
-  if (host == drain_source || emptied[host] || !can_host(host, spec)) {
+  if (host == drain_source || emptied[host] || !loads[host].can_host(spec)) {
     return Winner{};
   }
-  return Winner{scorer.score(cols(host), spec), host};
+  return Winner{scorer.score(loads[host], spec), host};
 }
 
 std::optional<HostId> Rebalancer::PlanScratch::best_target(const core::VmSpec& spec,
@@ -375,7 +320,7 @@ std::optional<HostId> Rebalancer::PlanScratch::best_target(const core::VmSpec& s
   });
   const auto slot = static_cast<std::size_t>(found - classes.begin());
   if (found == classes.end()) {
-    // First use this pass: seed every leaf from the columns as they stand,
+    // First use this pass: seed every leaf from the loads as they stand,
     // so the log so far is already reflected.
     classes.push_back(SpecClass{spec, dirty.size()});
     const std::size_t needed = classes.size() * span;
@@ -420,8 +365,8 @@ MigrationPlan Rebalancer::plan_incremental(const VCluster& cluster,
                                            std::size_t max_migrations) const {
   MigrationPlan plan;
   PlanScratch& s = scratch_;
-  s.load(cluster.arena());
   const std::vector<HostState>& live = cluster.hosts();
+  s.load(live);
   const std::size_t n = s.size();
 
   // Seed the lazy candidate min-heap with every non-empty host.
@@ -471,7 +416,7 @@ MigrationPlan Rebalancer::plan_incremental(const VCluster& cluster,
     const std::size_t undo_mark = s.undo.size();
     bool drained = true;
     for (const auto& [vm, spec] : s.source_vms) {
-      const std::optional<HostId> best = s.best_target(spec, *scorer_);
+      const std::optional<HostId> best = s.best_target(spec, scorer());
       if (!best) {
         drained = false;
         break;
@@ -483,7 +428,7 @@ MigrationPlan Rebalancer::plan_incremental(const VCluster& cluster,
     }
     if (!drained) {
       // Undo the partial drain and try the next host; the targets' leaves
-      // go stale again as their columns revert.
+      // go stale again as their loads revert.
       for (std::size_t i = undo_mark; i < s.undo.size(); ++i) {
         s.dirty.push_back(s.undo[i].to);
       }
@@ -506,12 +451,12 @@ MigrationPlan Rebalancer::plan_interference_incremental(
     const perf::ContentionModel& model, const InterferenceOptions& options) const {
   MigrationPlan plan;
   PlanScratch& s = scratch_;
-  s.load(cluster.arena());
   const std::vector<HostState>& live = cluster.hosts();
+  s.load(live);
 
   while (plan.migrations.size() < options.evictions_per_pass) {
     // Hottest untried UP host with >= 2 VMs. The few hosts this pass
-    // already mutated (`shifted`) are overlaid from the scratch columns;
+    // already mutated (`shifted`) are overlaid from the scratch loads;
     // everyone else is streamed from the index, hottest bucket first. Raw
     // heats in bucket b span [b*w, (b+1)*w) and equal heats share a bucket,
     // so once some bucket yields an eligible unshifted host, no cooler
@@ -519,11 +464,13 @@ MigrationPlan Rebalancer::plan_interference_incremental(
     // comparators reproduce the naive ascending strict-> scan: higher heat
     // wins, ties to the lower id.
     std::optional<HostId> source;
+    const auto heat = [&s](HostId h) { return s.loads[h].heat; };
     const auto eligible_source = [&s](HostId h) {
-      return !s.attempted[h] && s.up(h) && s.vm_count[h] >= 2;
+      return !s.attempted[h] && s.loads[h].phase == HostPhase::kUp &&
+             s.vm_count[h] >= 2;
     };
-    const auto hotter = [&s](HostId h, HostId best) {
-      return s.heat[h] != s.heat[best] ? s.heat[h] > s.heat[best] : h < best;
+    const auto hotter = [&heat](HostId h, HostId best) {
+      return heat(h) != heat(best) ? heat(h) > heat(best) : h < best;
     };
     for (const HostId h : s.shifted_list) {
       if (eligible_source(h) && (!source || hotter(h, *source))) {
@@ -549,7 +496,7 @@ MigrationPlan Rebalancer::plan_interference_incremental(
     }
     // Hottest-first: once the hottest candidate sits below the threshold
     // every other host does too.
-    if (model.contention_inflation(s.heat[*source]) <= options.threshold) {
+    if (model.contention_inflation(heat(*source)) <= options.threshold) {
       break;
     }
     const HostId src = *source;
@@ -577,13 +524,13 @@ MigrationPlan Rebalancer::plan_interference_incremental(
     // coolest bucket first, ties to the lowest id via the symmetric
     // comparator; the stop rule mirrors the source scan (no hotter bucket
     // can undercut a hit).
-    const double src_heat = s.heat[src];
+    const double src_heat = heat(src);
     std::optional<HostId> target;
     const auto eligible_target = [&](HostId h) {
-      return h != src && s.heat[h] < src_heat && s.can_host(h, victim_spec);
+      return h != src && heat(h) < src_heat && s.loads[h].can_host(victim_spec);
     };
-    const auto cooler = [&s](HostId h, HostId best) {
-      return s.heat[h] != s.heat[best] ? s.heat[h] < s.heat[best] : h < best;
+    const auto cooler = [&heat](HostId h, HostId best) {
+      return heat(h) != heat(best) ? heat(h) < heat(best) : h < best;
     };
     for (const HostId h : s.shifted_list) {
       if (eligible_target(h) && (!target || cooler(h, *target))) {
@@ -608,15 +555,16 @@ MigrationPlan Rebalancer::plan_interference_incremental(
       continue;  // hottest host is stuck; try the next-hottest
     }
 
-    // Move the victim in the scratch columns and shift its expected demand
-    // share between the two heat entries (same clamp as HostState::set_heat;
+    // Move the victim in the scratch loads and shift its expected demand
+    // share between the two heats (same clamp as HostLoad::set_heat;
     // scratch buckets are not maintained — nothing in this pass reads them).
     s.move_vm(victim_vm, victim_spec, src, *target);
-    const double src_cores = static_cast<double>(s.config_cores[src]);
-    const double dst_cores = static_cast<double>(s.config_cores[*target]);
-    s.heat[src] = std::max(s.heat[src] - victim_demand / src_cores, 0.0);
-    s.heat[*target] =
-        std::max(s.heat[*target] + victim_demand / dst_cores, 0.0);
+    HostLoad& src_load = s.loads[src];
+    HostLoad& dst_load = s.loads[*target];
+    src_load.heat = std::max(
+        src_load.heat - victim_demand / static_cast<double>(src_load.config.cores), 0.0);
+    dst_load.heat = std::max(
+        dst_load.heat + victim_demand / static_cast<double>(dst_load.config.cores), 0.0);
     s.mark_shifted(src);
     s.mark_shifted(*target);
     plan.migrations.push_back(Migration{victim_vm, src, *target});

@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "sched/scorer.hpp"
@@ -74,18 +76,19 @@ struct InterferenceOptions {
 class Rebalancer {
  public:
   /// Uses the given scorer to pick migration targets; defaults to the
-  /// Algorithm-2 progress scorer.
-  explicit Rebalancer(std::unique_ptr<Scorer> scorer = nullptr);
+  /// Algorithm-2 progress scorer (held by value: a default Rebalancer
+  /// allocates nothing).
+  explicit Rebalancer(std::unique_ptr<Scorer> scorer = nullptr)
+      : custom_(std::move(scorer)) {}
 
   /// Plan up to `max_migrations` migrations on the cluster's current state.
   /// The cluster is not modified.
   ///
-  /// Runs the incremental PlanScratch path (columnar copy of the arena,
+  /// Runs the incremental PlanScratch path (a copy of every HostLoad,
   /// per-attempt undo logs, lazy vm-count min-heap, one winner tree of drain
-  /// targets per spec class) when the cluster's index machinery is enabled
-  /// and the scorer supports columnar scoring; otherwise the verbatim naive
-  /// pass below. Both produce the bit-identical plan (differential-tested)
-  /// as long as the scorer never returns NaN.
+  /// targets per spec class) when the cluster's index machinery is enabled;
+  /// otherwise the verbatim naive pass below. Both produce the bit-identical
+  /// plan (differential-tested) as long as the scorer never returns NaN.
   [[nodiscard]] MigrationPlan plan(const VCluster& cluster,
                                    std::size_t max_migrations) const;
 
@@ -106,7 +109,7 @@ class Rebalancer {
   ///
   /// Hottest/coolest selection streams the cluster's HeatIndex buckets when
   /// available (hosts this pass already shifted are overlaid from the
-  /// scratch columns); with the index disabled the verbatim naive scan
+  /// scratch loads); with the index disabled the verbatim naive scan
   /// below runs. Both produce the bit-identical plan.
   [[nodiscard]] MigrationPlan plan_interference(
       const VCluster& cluster, const perf::ContentionModel& model,
@@ -123,23 +126,22 @@ class Rebalancer {
   static std::size_t apply_plan(VCluster& cluster, const MigrationPlan& plan);
 
  private:
-  /// Reusable columnar planning state. One pass copies the arena columns in
-  /// (vector assigns into retained capacity — no allocations once warm) and
-  /// plans against them; rollback replays a per-attempt undo log instead of
+  /// Reusable planning state. One pass copies every host's HostLoad and VM
+  /// count in (into retained capacity — no allocations once warm) and plans
+  /// against the copies; rollback replays a per-attempt undo log instead of
   /// re-copying the fleet. The log also threads, per host, the moves this
   /// pass made *onto* it (`last_gain`), so source enumeration stays
   /// live-map ∪ gained (a host is drained as a source at most once, so
   /// nothing ever needs to be subtracted).
   ///
   /// Drain targets come from one winner tree per spec class met this pass:
-  /// leaf h holds score(cols(h), spec) when h could take the spec (not the
+  /// leaf h holds score(loads[h], spec) when h could take the spec (not the
   /// drain source, not emptied, can_host), each inner node the better
   /// child — higher score, ties to the lower HostId — so the root is the
   /// naive scan's pick. Every host whose leaf may have changed is appended
   /// to `dirty`; a class replays the log entries past its cursor before it
   /// answers (see DESIGN.md §5 "Consolidation planner").
   struct PlanScratch {
-    static constexpr std::size_t kLevels = HostArena::kLevels;
     static constexpr HostId kNoHost = ~HostId{0};
     static constexpr std::size_t kNoMove = ~std::size_t{0};
 
@@ -172,22 +174,14 @@ class Rebalancer {
       std::size_t synced = 0;
     };
 
-    // Columns copied from the arena at the top of every pass.
-    std::vector<std::uint8_t> phase;
-    std::vector<core::CoreCount> alloc_cores;
-    std::vector<core::MemMib> committed_mem;
-    std::vector<core::MemMib> mem_capacity;
-    std::vector<core::CoreCount> config_cores;
-    std::vector<core::MemMib> config_mem;
+    // Copied from the cluster's hosts at the top of every pass.
+    std::vector<HostLoad> loads;
     std::vector<std::uint32_t> vm_count;
-    std::vector<double> heat;
-    std::vector<double> quantized_heat;
-    std::vector<core::VcpuCount> vcpus_per_level;  // flattened, kLevels/host
 
     // Per-pass planning state (capacity reused across passes).
     std::vector<std::uint8_t> attempted;
     std::vector<std::uint8_t> emptied;
-    std::vector<std::uint8_t> shifted;  ///< heat/cols diverged from the index view
+    std::vector<std::uint8_t> shifted;  ///< load diverged from the index view
     std::vector<HostId> shifted_list;
     std::vector<std::size_t> last_gain;  ///< per host: latest move onto it
     std::vector<HostedVm> gained_sorted;  ///< one source's gains, by VmId
@@ -207,20 +201,14 @@ class Rebalancer {
       return a.count != b.count ? a.count > b.count : a.host > b.host;
     }
 
-    void load(const HostArena& arena);
-    [[nodiscard]] std::size_t size() const noexcept { return phase.size(); }
-    [[nodiscard]] bool up(HostId host) const noexcept {
-      return static_cast<HostPhase>(phase[host]) == HostPhase::kUp;
-    }
-    /// HostState::can_host from the columns (same rule as HostArena).
-    [[nodiscard]] bool can_host(HostId host, const core::VmSpec& spec) const noexcept;
-    [[nodiscard]] HostCols cols(HostId host) const noexcept;
-    /// Shift one spec between two hosts' columns (the exact incremental
-    /// integer-core arithmetic of HostState::add/remove).
-    void apply_move_cols(const core::VmSpec& spec, HostId from, HostId to) noexcept;
-    /// Apply one tentative move to the columns; logs an Undo.
+    void load(std::span<const HostState> hosts);
+    [[nodiscard]] std::size_t size() const noexcept { return loads.size(); }
+    /// Shift one spec between two hosts' loads (HostLoad::book/unbook, the
+    /// arithmetic of HostState::add/remove).
+    void shift(const core::VmSpec& spec, HostId from, HostId to) noexcept;
+    /// Apply one tentative move to the loads; logs an Undo.
     void move_vm(core::VmId vm, const core::VmSpec& spec, HostId from, HostId to);
-    /// Reverse every move logged past `mark`, restoring columns and gains.
+    /// Reverse every move logged past `mark`, restoring loads and gains.
     void roll_back_to(std::size_t mark);
     /// Live-map ∪ gained membership of `source`, ascending VmId: a merge
     /// of the host's own ascending VMs with its sorted gains.
@@ -228,11 +216,11 @@ class Rebalancer {
     void mark_shifted(HostId host);
 
     /// Make `source` the host every tree excludes; logs it and the previous
-    /// source (whose exclusion ends, and whose columns a drain may have
+    /// source (whose exclusion ends, and whose load a drain may have
     /// changed).
     void begin_drain(HostId source);
     /// Best target for `spec` — the class's tree root, seeded from the
-    /// columns on first use this pass and brought up to date from `dirty`.
+    /// loads on first use this pass and brought up to date from `dirty`.
     [[nodiscard]] std::optional<HostId> best_target(const core::VmSpec& spec,
                                                     const Scorer& scorer);
     [[nodiscard]] Winner leaf(HostId host, const core::VmSpec& spec,
@@ -255,7 +243,15 @@ class Rebalancer {
       const VCluster& cluster, const HeatIndex& index,
       const perf::ContentionModel& model, const InterferenceOptions& options) const;
 
-  std::unique_ptr<Scorer> scorer_;
+  [[nodiscard]] const Scorer& scorer() const noexcept {
+    if (custom_ != nullptr) {
+      return *custom_;
+    }
+    return progress_;
+  }
+
+  std::unique_ptr<Scorer> custom_;
+  ProgressScorer progress_;
   /// Planning never mutates the cluster, so Rebalancer stays const at the
   /// call sites; the scratch is a per-pass cache. Not synchronized: replay()
   /// owns one serial Rebalancer and every shard owns its own, so a scratch

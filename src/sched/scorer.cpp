@@ -6,56 +6,27 @@
 
 namespace slackvm::sched {
 
-double Scorer::score(const HostCols& /*host*/, const core::VmSpec& /*spec*/) const {
-  SLACKVM_THROW("Scorer::score(HostCols): scorer '" + name() +
-                "' does not support columnar scoring");
-}
-
-double ProgressScorer::score(const HostState& host, const core::VmSpec& spec) const {
+double ProgressScorer::score(const HostLoad& host, const core::VmSpec& spec) const {
   const core::Resources alloc = host.alloc();
   const core::CoreCount delta_cores = host.cores_with(spec) - alloc.cores;
   core::ProgressInputs in;
-  in.config = host.config();
+  in.config = host.config;
   in.alloc = alloc;
   in.vm = core::Resources{delta_cores, spec.mem_mib};
   return core::progress_towards_target_ratio(in);
 }
 
-double ProgressScorer::score(const HostCols& host, const core::VmSpec& spec) const {
-  const core::Resources alloc{host.alloc_cores, host.committed_mem};
-  const core::CoreCount delta_cores = host.cores_with(spec) - alloc.cores;
-  core::ProgressInputs in;
-  in.config = core::Resources{host.config_cores, host.config_mem};
-  in.alloc = alloc;
-  in.vm = core::Resources{delta_cores, spec.mem_mib};
-  return core::progress_towards_target_ratio(in);
-}
-
-double BestFitScorer::score(const HostState& host, const core::VmSpec& spec) const {
+double BestFitScorer::score(const HostLoad& host, const core::VmSpec& spec) const {
   const double residual_cores =
-      static_cast<double>(host.config().cores - host.cores_with(spec)) /
-      static_cast<double>(host.config().cores);
+      static_cast<double>(host.config.cores - host.cores_with(spec)) /
+      static_cast<double>(host.config.cores);
   const double residual_mem =
-      static_cast<double>(host.config().mem_mib - host.alloc().mem_mib - spec.mem_mib) /
-      static_cast<double>(host.config().mem_mib);
+      static_cast<double>(host.config.mem_mib - host.committed_mem - spec.mem_mib) /
+      static_cast<double>(host.config.mem_mib);
   return -(residual_cores + residual_mem);  // fuller host -> higher score
 }
 
-double BestFitScorer::score(const HostCols& host, const core::VmSpec& spec) const {
-  const double residual_cores =
-      static_cast<double>(host.config_cores - host.cores_with(spec)) /
-      static_cast<double>(host.config_cores);
-  const double residual_mem =
-      static_cast<double>(host.config_mem - host.committed_mem - spec.mem_mib) /
-      static_cast<double>(host.config_mem);
-  return -(residual_cores + residual_mem);  // fuller host -> higher score
-}
-
-double WorstFitScorer::score(const HostState& host, const core::VmSpec& spec) const {
-  return -best_.score(host, spec);
-}
-
-double WorstFitScorer::score(const HostCols& host, const core::VmSpec& spec) const {
+double WorstFitScorer::score(const HostLoad& host, const core::VmSpec& spec) const {
   return -best_.score(host, spec);
 }
 
@@ -64,14 +35,8 @@ InterferenceScorer::InterferenceScorer(double heat_weight)
   SLACKVM_ASSERT(heat_weight >= 0.0);
 }
 
-double InterferenceScorer::score(const HostState& host,
-                                 const core::VmSpec& spec) const {
+double InterferenceScorer::score(const HostLoad& host, const core::VmSpec& spec) const {
   return progress_.score(host, spec) - heat_weight_ * host.quantized_heat();
-}
-
-double InterferenceScorer::score(const HostCols& host,
-                                 const core::VmSpec& spec) const {
-  return progress_.score(host, spec) - heat_weight_ * host.quantized_heat;
 }
 
 std::string InterferenceScorer::name() const {
@@ -85,24 +50,7 @@ void CompositeScorer::add(std::unique_ptr<Scorer> scorer, double weight) {
   parts_.push_back(Part{std::move(scorer), weight});
 }
 
-double CompositeScorer::score(const HostState& host, const core::VmSpec& spec) const {
-  double total = 0.0;
-  for (const Part& part : parts_) {
-    total += part.weight * part.scorer->score(host, spec);
-  }
-  return total;
-}
-
-bool CompositeScorer::supports_cols() const noexcept {
-  for (const Part& part : parts_) {
-    if (!part.scorer->supports_cols()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-double CompositeScorer::score(const HostCols& host, const core::VmSpec& spec) const {
+double CompositeScorer::score(const HostLoad& host, const core::VmSpec& spec) const {
   double total = 0.0;
   for (const Part& part : parts_) {
     total += part.weight * part.scorer->score(host, spec);

@@ -17,32 +17,6 @@
 
 namespace slackvm::sched {
 
-/// Columnar projection of one host: exactly the fields the in-tree scorers
-/// read, laid out as plain values so planners working on HostArena-style
-/// columns (Rebalancer::PlanScratch) can score candidates without
-/// materializing a HostState. Every field must be copied verbatim from the
-/// row it mirrors; then score(HostCols) is bit-identical to score(HostState).
-struct HostCols {
-  core::CoreCount config_cores = 0;
-  core::MemMib config_mem = 0;
-  core::CoreCount alloc_cores = 0;
-  core::MemMib committed_mem = 0;
-  /// HostState::quantized_heat() — bucket * width, never the raw EWMA.
-  double quantized_heat = 0.0;
-  /// Per-ratio vCPU commitments (OversubLevel::kMaxRatio + 1 entries,
-  /// index 0 unused), same layout as one HostArena row.
-  const core::VcpuCount* vcpus_per_level = nullptr;
-
-  /// HostState::cores_with computed from the columns: only the spec's own
-  /// vNode changes, same incremental integer-core rule.
-  [[nodiscard]] core::CoreCount cores_with(const core::VmSpec& spec) const noexcept {
-    const std::uint8_t ratio = spec.level.ratio();
-    const core::VcpuCount vcpus = vcpus_per_level[ratio];
-    return alloc_cores - core::ceil_div<core::CoreCount>(vcpus, ratio) +
-           core::ceil_div<core::CoreCount>(vcpus + spec.vcpus, ratio);
-  }
-};
-
 /// Interface of a soft-constraint scorer; higher is better. Implementations
 /// may assume the host already passed the capacity filter, and must read the
 /// spec's shape only (vcpus, mem_mib, level — never usage): PlacementIndex
@@ -50,19 +24,9 @@ struct HostCols {
 class Scorer {
  public:
   virtual ~Scorer() = default;
-  [[nodiscard]] virtual double score(const HostState& host,
+  [[nodiscard]] virtual double score(const HostLoad& host,
                                      const core::VmSpec& spec) const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// True when the columnar overload below is implemented and returns the
-  /// bit-identical double score(HostState) would for the host the columns
-  /// mirror. Planners fall back to the naive HostState path otherwise
-  /// (the same discipline as the PlacementIndex bypass).
-  [[nodiscard]] virtual bool supports_cols() const noexcept { return false; }
-
-  /// Columnar twin of score(); only callable when supports_cols().
-  [[nodiscard]] virtual double score(const HostCols& host,
-                                     const core::VmSpec& spec) const;
 };
 
 /// Paper Algorithm 2. The candidate VM footprint is host-aware: the cores
@@ -70,45 +34,33 @@ class Scorer {
 /// vNode rounding means a VM may be absorbed by slack in its level's vNode).
 class ProgressScorer final : public Scorer {
  public:
-  [[nodiscard]] double score(const HostState& host,
+  [[nodiscard]] double score(const HostLoad& host,
                              const core::VmSpec& spec) const override;
   [[nodiscard]] std::string name() const override { return "progress-to-target-ratio"; }
-
-  [[nodiscard]] bool supports_cols() const noexcept override { return true; }
-  [[nodiscard]] double score(const HostCols& host,
-                             const core::VmSpec& spec) const override;
 };
 
 /// Classical best-fit: prefer the host with the least normalized residual
 /// capacity after placement (sum of the core and memory residual fractions).
 class BestFitScorer final : public Scorer {
  public:
-  [[nodiscard]] double score(const HostState& host,
+  [[nodiscard]] double score(const HostLoad& host,
                              const core::VmSpec& spec) const override;
   [[nodiscard]] std::string name() const override { return "best-fit"; }
-
-  [[nodiscard]] bool supports_cols() const noexcept override { return true; }
-  [[nodiscard]] double score(const HostCols& host,
-                             const core::VmSpec& spec) const override;
 };
 
 /// Classical worst-fit: prefer the emptiest host (load spreading).
 class WorstFitScorer final : public Scorer {
  public:
-  [[nodiscard]] double score(const HostState& host,
+  [[nodiscard]] double score(const HostLoad& host,
                              const core::VmSpec& spec) const override;
   [[nodiscard]] std::string name() const override { return "worst-fit"; }
-
-  [[nodiscard]] bool supports_cols() const noexcept override { return true; }
-  [[nodiscard]] double score(const HostCols& host,
-                             const core::VmSpec& spec) const override;
 
  private:
   BestFitScorer best_;  ///< negated per call; held, not rebuilt per score
 };
 
 /// Interference-aware scorer: Algorithm 2's progress score minus a penalty
-/// proportional to the host's *quantized* heat (HostState::quantized_heat).
+/// proportional to the host's *quantized* heat (HostLoad::quantized_heat).
 /// Reading the quantized value — never the raw EWMA — is what keeps this
 /// scorer inside the PlacementIndex lazy-deletion protocol: the score of a
 /// host can only change when its epoch does (heat-bucket crossings bump it),
@@ -117,13 +69,9 @@ class InterferenceScorer final : public Scorer {
  public:
   explicit InterferenceScorer(double heat_weight = 1.0);
 
-  [[nodiscard]] double score(const HostState& host,
+  [[nodiscard]] double score(const HostLoad& host,
                              const core::VmSpec& spec) const override;
   [[nodiscard]] std::string name() const override;
-
-  [[nodiscard]] bool supports_cols() const noexcept override { return true; }
-  [[nodiscard]] double score(const HostCols& host,
-                             const core::VmSpec& spec) const override;
 
   [[nodiscard]] double heat_weight() const noexcept { return heat_weight_; }
 
@@ -138,15 +86,9 @@ class CompositeScorer final : public Scorer {
  public:
   void add(std::unique_ptr<Scorer> scorer, double weight);
 
-  [[nodiscard]] double score(const HostState& host,
+  [[nodiscard]] double score(const HostLoad& host,
                              const core::VmSpec& spec) const override;
   [[nodiscard]] std::string name() const override;
-
-  /// Columnar when every part is (the weighted sum runs in part order, so
-  /// the float result matches the HostState overload exactly).
-  [[nodiscard]] bool supports_cols() const noexcept override;
-  [[nodiscard]] double score(const HostCols& host,
-                             const core::VmSpec& spec) const override;
 
   [[nodiscard]] std::size_t size() const noexcept { return parts_.size(); }
 

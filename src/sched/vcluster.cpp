@@ -37,7 +37,6 @@ void VCluster::reserve(std::size_t expected_vms) {
   // replay.
   const std::size_t hosts = std::min<std::size_t>(expected_vms / 16 + 1, 4096);
   hosts_.reserve(hosts);
-  arena_.reserve(hosts);
 }
 
 void VCluster::reset() {
@@ -47,7 +46,9 @@ void VCluster::reset() {
     parked_.push_back(std::move(*host));
   }
   hosts_.clear();
-  arena_.reset();
+  total_alloc_ = {};
+  total_config_ = {};
+  nonempty_ = 0;
   placements_.reset();
   policy_->reset();
   filter_.reset();
@@ -73,14 +74,14 @@ HostState& VCluster::open_host() {
     parked_.pop_back();
     hosts_.back().revive(id, fleet_.config_for(id), mem_oversub_);
   }
-  arena_.push_host(hosts_.back());
+  total_config_ += hosts_.back().config();
   touch(id);
   return hosts_.back();
 }
 
 void VCluster::flush_index() {
   if (index_ != nullptr) {
-    index_->sync_all(hosts_, &arena_);
+    index_->sync_all(hosts_);
   }
   if (heat_index_ != nullptr) {
     heat_index_->sync(hosts_);
@@ -131,7 +132,7 @@ std::optional<HostId> VCluster::try_place(core::VmId id, const core::VmSpec& spe
     SLACKVM_THROW("VCluster::try_place: VM already placed (" + name_ + ")");
   }
   PlacementIndex* index = active_index();
-  auto chosen = index != nullptr ? index->select(hosts_, spec, &arena_)
+  auto chosen = index != nullptr ? index->select(hosts_, spec)
                                  : policy_->select(hosts_, spec, filter_.get());
   if (!chosen) {
     // Open the next PM of the fleet cycle (within the host cap, if any —
@@ -154,18 +155,19 @@ std::optional<HostId> VCluster::try_place(core::VmId id, const core::VmSpec& spe
       // entry, so a rejection leaves the cluster unchanged.
       while (hosts_.size() > opened_before) {
         SLACKVM_ASSERT(hosts_.back().empty());
+        total_config_ -= hosts_.back().config();
         parked_.push_back(std::move(hosts_.back()));
         hosts_.pop_back();
-        arena_.pop_host();
       }
       placements_.erase(id);
       return std::nullopt;
     }
   }
   *entry = *chosen;
+  const Footprint before = footprint(*chosen);
   hosts_[*chosen].add(id, spec);
   journal(MembershipDelta::Op::kAdd, *chosen, id, spec);
-  note(*chosen);
+  note(*chosen, before);
   return *chosen;
 }
 
@@ -180,9 +182,10 @@ bool VCluster::try_remove(core::VmId id) {
   if (!host) {
     return false;
   }
+  const Footprint before = footprint(*host);
   hosts_[*host].remove(id);
   journal(MembershipDelta::Op::kRemove, *host, id, core::VmSpec{});
-  note(*host);
+  note(*host, before);
   return true;
 }
 
@@ -200,6 +203,8 @@ bool VCluster::migrate(core::VmId vm, HostId to) {
   }
   // Look the spec up before detaching so a rejected move changes nothing.
   const core::VmSpec spec = hosts_[from].spec_of(vm);
+  const Footprint from_before = footprint(from);
+  const Footprint to_before = footprint(to);
   hosts_[from].remove(vm);
   if (!hosts_[to].can_host(spec)) {
     hosts_[from].add(vm, spec);
@@ -211,8 +216,8 @@ bool VCluster::migrate(core::VmId vm, HostId to) {
   hosts_[to].add(vm, spec);
   journal(MembershipDelta::Op::kRemove, from, vm, core::VmSpec{});
   journal(MembershipDelta::Op::kAdd, to, vm, spec);
-  note(from);
-  note(to);
+  note(from, from_before);
+  note(to, to_before);
   *placed = to;
   return true;
 }
@@ -224,11 +229,9 @@ void VCluster::set_host_heat(HostId host, double heat, double bucket_width) {
   const std::uint64_t before = hosts_[host].epoch();
   hosts_[host].set_heat(heat, bucket_width);
   // Within a bucket the epoch is unchanged and every cached index score is
-  // still exact — refresh the arena mirror but spare the index a touch.
-  arena_.refresh(hosts_[host]);
+  // still exact, so the indexes hear only of crossings.
   if (hosts_[host].epoch() != before) {
-    touch(host);
-    bound_logs();
+    note(host);
   }
 }
 
@@ -246,8 +249,9 @@ bool VCluster::try_reserve(HostId host, core::VmId vm, const core::VmSpec& spec)
   if (!hosts_[host].can_host(spec)) {
     return false;  // not UP, or the double-booked capacity does not fit
   }
+  const Footprint before = footprint(host);
   hosts_[host].reserve(vm, spec);
-  note(host);
+  note(host, before);
   return true;
 }
 
@@ -255,8 +259,9 @@ void VCluster::release_reservation(HostId host, core::VmId vm) {
   if (host >= hosts_.size()) {
     SLACKVM_THROW("VCluster::release_reservation: unknown host");
   }
+  const Footprint before = footprint(host);
   hosts_[host].release_reservation(vm);
-  note(host);
+  note(host, before);
 }
 
 void VCluster::commit_migration(core::VmId vm, HostId to) {
@@ -273,17 +278,19 @@ void VCluster::commit_migration(core::VmId vm, HostId to) {
   // onto a draining or failed host means a missed notification.
   SLACKVM_ASSERT(hosts_[to].phase() == HostPhase::kUp);
   const core::VmSpec spec = hosts_[from].spec_of(vm);
+  const Footprint from_before = footprint(from);
+  const Footprint to_before = footprint(to);
   // Swap reservation for residency inside one event: the freed booking is
   // exactly the VM's footprint, so the add can never fail, and no placement
   // can run between the release and the add.
   hosts_[to].release_reservation(vm);
   hosts_[from].remove(vm);
-  SLACKVM_ASSERT(hosts_[to].fits(spec));
+  SLACKVM_ASSERT(hosts_[to].load().fits(spec));
   hosts_[to].add(vm, spec);
   journal(MembershipDelta::Op::kRemove, from, vm, core::VmSpec{});
   journal(MembershipDelta::Op::kAdd, to, vm, spec);
-  note(from);
-  note(to);
+  note(from, from_before);
+  note(to, to_before);
   *placed = to;
 }
 
@@ -310,6 +317,7 @@ std::vector<HostedVm> VCluster::fail_host(HostId host) {
     SLACKVM_THROW("VCluster::fail_host: unknown host");
   }
   HostState& state = hosts_[host];
+  const Footprint before = footprint(host);
   std::vector<HostedVm> victims = state.evict_all();
   for (const auto& [vm, spec] : victims) {
     placements_.erase(vm);
@@ -319,7 +327,7 @@ std::vector<HostedVm> VCluster::fail_host(HostId host) {
   journal(MembershipDelta::Op::kWipe, host, core::VmId{0}, core::VmSpec{});
   // One dirty-log entry covers the whole eviction batch: sync() re-evaluates
   // the host at its latest epoch, and no select() can run mid-batch.
-  note(host);
+  note(host, before);
   return victims;
 }
 
@@ -344,19 +352,21 @@ std::size_t VCluster::migrate_off(HostId host) {
   while (pos < hosts_[host].vm_count()) {
     const auto [vm, spec] = hosts_[host].vms()[pos];
     // Detach, then re-place through the regular policy/index path.
+    const Footprint before = footprint(host);
     hosts_[host].remove(vm);
     journal(MembershipDelta::Op::kRemove, host, vm, core::VmSpec{});
     placements_.erase(vm);
-    note(host);
+    note(host, before);
     if (try_place(vm, spec)) {
       ++moved;
     } else {
       // No feasible target: restore in place (capacity trivially holds) and
       // leave the VM for a later fail_host eviction or natural departure.
+      const Footprint detached = footprint(host);
       hosts_[host].add(vm, spec);
       journal(MembershipDelta::Op::kAdd, host, vm, spec);
       placements_.insert(vm, host);
-      note(host);
+      note(host, detached);
       ++pos;
     }
   }

@@ -17,7 +17,6 @@
 #include "sched/filter.hpp"
 #include "sched/fleet.hpp"
 #include "sched/heat_index.hpp"
-#include "sched/host_arena.hpp"
 #include "sched/host_state.hpp"
 #include "sched/placement_index.hpp"
 #include "sched/policy.hpp"
@@ -98,7 +97,7 @@ class VCluster {
   /// Book migration capacity for `vm` on `host`: returns false (no state
   /// change) unless the host is UP and the spec fits on top of everything
   /// already hosted *and* reserved there. The booking is visible to every
-  /// placement path (can_host, the placement index, the arena aggregates)
+  /// placement path (can_host, the placement index, the running totals)
   /// until released or committed. Throws for unknown hosts.
   bool try_reserve(HostId host, core::VmId vm, const core::VmSpec& spec);
 
@@ -166,9 +165,8 @@ class VCluster {
   // --- interference heat (sim/usage_monitor.hpp feeds it) ------------------
 
   /// Update a host's interference-heat EWMA through the index-safe funnel:
-  /// the arena row is re-mirrored always, the placement index is touched
-  /// only when the quantized bucket crossed (== the epoch bumped). Throws
-  /// for unknown hosts.
+  /// the indexes are touched only when the quantized bucket crossed (== the
+  /// epoch bumped). Throws for unknown hosts.
   void set_host_heat(HostId host, double heat, double bucket_width);
 
   /// Raw heat of an opened host; throws for unknown hosts.
@@ -192,24 +190,19 @@ class VCluster {
   /// Host currently running `vm`; throws for unknown ids.
   [[nodiscard]] HostId host_of(core::VmId vm) const;
 
-  /// Aggregate allocation over all opened hosts — O(1): a running total of
-  /// the struct-of-arrays mirror (host_arena.hpp).
+  /// Aggregate allocation over all opened hosts — O(1): a running total
+  /// kept by note(), which sim::audit checks against a recomputation.
   [[nodiscard]] const core::Resources& total_alloc() const noexcept {
-    return arena_.total_alloc();
+    return total_alloc_;
   }
 
   /// Aggregate capacity over all opened hosts — O(1) (see total_alloc).
   [[nodiscard]] const core::Resources& total_config() const noexcept {
-    return arena_.total_config();
+    return total_config_;
   }
 
   /// Hosts currently running at least one VM — O(1) (see total_alloc).
-  [[nodiscard]] std::size_t nonempty_hosts() const noexcept {
-    return arena_.nonempty_hosts();
-  }
-
-  /// The struct-of-arrays mirror of the fleet (audits cross-check it).
-  [[nodiscard]] const HostArena& arena() const noexcept { return arena_; }
+  [[nodiscard]] std::size_t nonempty_hosts() const noexcept { return nonempty_; }
 
   /// The quantized-heat bucket index serving plan_interference, its dirty
   /// log replayed, or nullptr while the index machinery is disabled
@@ -286,12 +279,31 @@ class VCluster {
     }
   }
 
-  /// Every mutation of hosts_[host] funnels through here: re-mirror the row
-  /// into the arena, then report the epoch bump to the indexes.
+  /// A host's share of the running totals, taken before a mutation so that
+  /// note(host, before) can apply the difference.
+  struct Footprint {
+    core::Resources alloc;
+    bool nonempty = false;
+  };
+  [[nodiscard]] Footprint footprint(HostId host) const noexcept {
+    return Footprint{hosts_[host].alloc(), !hosts_[host].empty()};
+  }
+
+  /// Every epoch bump of hosts_[host] funnels through here: report it to
+  /// the indexes and keep their logs bounded.
   void note(HostId host) {
-    arena_.refresh(hosts_[host]);
     touch(host);
     bound_logs();
+  }
+
+  /// note() after a mutation that may have changed the host's footprint:
+  /// move the running totals from `before` to the host's current share.
+  void note(HostId host, const Footprint& before) {
+    const Footprint after = footprint(host);
+    total_alloc_ -= before.alloc;
+    total_alloc_ += after.alloc;
+    nonempty_ = nonempty_ - std::size_t{before.nonempty} + std::size_t{after.nonempty};
+    note(host);
   }
 
   /// Open the next host of the fleet cycle, reviving a parked one if any.
@@ -325,7 +337,10 @@ class VCluster {
   /// Hosts parked by reset() or a rolled-back opening, the next to revive
   /// at the back.
   std::vector<HostState> parked_;
-  HostArena arena_;  ///< SoA mirror of hosts_, maintained by note()
+  /// Running totals over hosts_ (total_alloc, total_config, nonempty_hosts).
+  core::Resources total_alloc_{};
+  core::Resources total_config_{};
+  std::size_t nonempty_ = 0;
   VmDirectory placements_;  ///< VmId -> host, one entry per placed VM
   bool index_enabled_ = true;
   /// Membership journal (arm_membership_log). lost_ starts true so the

@@ -90,9 +90,9 @@ void audit_host(const sched::HostState& host, const std::string& where,
     fail("memory accounting drift: cached " + std::to_string(host.alloc().mem_mib) +
          " != recomputed " + std::to_string(mem));
   }
-  if (mem > host.mem_capacity()) {
+  if (mem > host.load().mem_capacity) {
     fail("memory capacity exceeded: " + std::to_string(mem) + " > " +
-         std::to_string(host.mem_capacity()));
+         std::to_string(host.load().mem_capacity));
   }
 
   // Interference heat: the EWMA never goes negative (set_heat clamps), and
@@ -103,13 +103,11 @@ void audit_host(const sched::HostState& host, const std::string& where,
     fail("negative heat " + std::to_string(host.heat()));
   }
   const std::uint32_t expected_bucket =
-      host.heat_bucket_width() > 0.0
-          ? static_cast<std::uint32_t>(host.heat() / host.heat_bucket_width())
-          : 0;
+      sched::HostLoad::quantize(host.heat(), host.load().heat_bucket_width);
   if (host.heat_bucket() != expected_bucket) {
     fail("heat bucket " + std::to_string(host.heat_bucket()) +
          " != quantize(" + std::to_string(host.heat()) + ", " +
-         std::to_string(host.heat_bucket_width()) + ") = " +
+         std::to_string(host.load().heat_bucket_width) + ") = " +
          std::to_string(expected_bucket));
   }
 }
@@ -148,11 +146,32 @@ std::vector<std::string> audit(const sched::VCluster& cluster) {
                   " VMs but the VM directory holds " +
                   std::to_string(cluster.vm_count()));
   }
-  // The SoA mirror must agree with the authoritative rows field-for-field;
-  // every O(1) aggregate the simulator reads comes from it.
-  std::vector<std::string> arena = cluster.arena().check(cluster.hosts());
-  for (std::string& violation : arena) {
-    out.push_back(cluster.name() + ": " + violation);
+  // The O(1) aggregates the simulator reads are running totals; they must
+  // equal a recomputation over the hosts.
+  core::Resources alloc;
+  core::Resources config;
+  std::size_t nonempty = 0;
+  for (const sched::HostState& host : cluster.hosts()) {
+    alloc += host.alloc();
+    config += host.config();
+    if (!host.empty()) {
+      ++nonempty;
+    }
+  }
+  if (alloc != cluster.total_alloc()) {
+    out.push_back(cluster.name() + ": total_alloc " +
+                  core::to_string(cluster.total_alloc()) + " != recomputed " +
+                  core::to_string(alloc));
+  }
+  if (config != cluster.total_config()) {
+    out.push_back(cluster.name() + ": total_config " +
+                  core::to_string(cluster.total_config()) + " != recomputed " +
+                  core::to_string(config));
+  }
+  if (nonempty != cluster.nonempty_hosts()) {
+    out.push_back(cluster.name() + ": nonempty_hosts " +
+                  std::to_string(cluster.nonempty_hosts()) + " != recomputed " +
+                  std::to_string(nonempty));
   }
   return out;
 }

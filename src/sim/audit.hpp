@@ -17,8 +17,9 @@
 //    deterministic VM walk relies on), and VM membership is conserved
 //    across those vectors, the cluster's VM directory, and the per-cluster
 //    counts the datacenter aggregates;
-//  * the cluster's struct-of-arrays mirror (sched/host_arena.hpp) agrees
-//    field-for-field with the authoritative host rows.
+//  * the cluster's running totals (total_alloc, total_config,
+//    nonempty_hosts) equal a recomputation over its hosts;
+//  * each host's heat bucket is HostLoad::quantize of its heat.
 //
 // An empty result means the state is coherent. The audit is O(VMs) and
 // cheap enough to run after every event in tests: replay() does exactly

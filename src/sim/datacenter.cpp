@@ -148,8 +148,8 @@ std::size_t Datacenter::opened_pms() const {
 }
 
 std::size_t Datacenter::active_pms() const {
-  // O(clusters): each cluster's arena keeps a running non-empty count, so
-  // the per-event metrics observation no longer walks the whole fleet.
+  // O(clusters): each cluster keeps a running non-empty count, so the
+  // per-event metrics observation no longer walks the whole fleet.
   std::size_t active = 0;
   for (const auto& cluster : clusters_) {
     active += cluster->nonempty_hosts();

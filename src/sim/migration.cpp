@@ -59,7 +59,7 @@ void MigrationEngine::pump(std::size_t cluster, core::SimTime now) {
     moved = true;
   }
   if (moved) {
-    // Reservations double-book arena aggregates, so launches (and parked /
+    // Reservations double-book the running totals, so launches (and parked /
     // cancelled heads) change what the metrics see.
     observe_(now);
   }
@@ -147,7 +147,7 @@ std::optional<sched::HostId> MigrationEngine::pick_dest(const sched::VCluster& c
     if (!viable(host.id())) {
       continue;
     }
-    const double score = scorer_->score(host, spec);
+    const double score = scorer_->score(host.load(), spec);
     if (!best || score > best_score) {
       best = host.id();
       best_score = score;

@@ -13,8 +13,8 @@
 //    source and the destination (the bandwidth budget of a single NIC).
 //  * *Reservation* — for the whole flight the destination double-books the
 //    VM's footprint (HostState::reserve): fits()/can_host(), the placement
-//    index and the HostArena aggregates all see the booked capacity, so no
-//    concurrent placement can strand the flight. Commit atomically swaps
+//    index and the cluster's running totals all see the booked capacity, so
+//    no concurrent placement can strand the flight. Commit atomically swaps
 //    the booking for the VM (VCluster::commit_migration).
 //  * *Failure semantics* — deterministic, audited:
 //      - destination fails or drains mid-flight → the flight aborts, the

@@ -220,7 +220,7 @@ RunResult replay_sharded(Datacenter& dc, EventSource& source,
     shard.observe = [&dc, &shard](core::SimTime t) {
       // Shard-local aggregates over the owned clusters only; the merger
       // turns them into the global tuples the collector sees. O(owned
-      // clusters) thanks to the arena's running totals.
+      // clusters) thanks to each cluster's running totals.
       ShardSample s;
       s.time = t;
       for (const std::size_t c : shard.clusters) {

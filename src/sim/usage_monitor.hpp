@@ -10,7 +10,7 @@
 //
 // The per-host breakdown (sample_host_usage) and the EWMA feeder
 // (update_cluster_heat) close the interference loop: they turn the same
-// usage signals into the per-host *heat* column that
+// usage signals into the per-host *heat* (sched::HostLoad::heat) that
 // sched::InterferenceScorer and the polluter pass consume.
 #pragma once
 

@@ -12,7 +12,8 @@
 // whose placement index keeps its feasible hosts in bitsets, and for the
 // heat-bucket index under heat churn; a failed host keeps its VM vector,
 // so failing, repairing and refilling it costs only the victim list. A
-// reset cluster replays the same churn without a single allocation.
+// reset cluster replays the same churn without a single allocation, and a
+// default Rebalancer (one per replay shard) allocates nothing at all.
 //
 // One level up, a whole one-shard replay of a 20k-row trace must allocate
 // a bounded number of times that does not grow with the row count: the
@@ -28,6 +29,7 @@
 
 #include "core/rng.hpp"
 #include "sched/policy.hpp"
+#include "sched/rebalancer.hpp"
 #include "sched/vcluster.hpp"
 #include "sim/datacenter.hpp"
 #include "sim/event_source.hpp"
@@ -255,6 +257,17 @@ TEST(HostAllocations, FailRepairRefillOfAWarmedHostCostsOneAllocation) {
   // One per cycle, the victim list; a host that dropped its VM vector would
   // regrow it (1, 2, 4 slots) on every refill.
   EXPECT_LE(allocations, kCycles) << "allocations over " << kCycles << " cycles";
+}
+
+TEST(RebalancerAllocations, DefaultRebalancerAllocatesNothing) {
+  // Every replay shard holds one, rebalance schedule or not; the default
+  // progress scorer is a member, not a heap object.
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  {
+    const sched::Rebalancer rebalancer{};
+    static_cast<void>(rebalancer);
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0U);
 }
 
 TEST(DeployRemoveAllocations, CounterSeesHeapAllocations) {

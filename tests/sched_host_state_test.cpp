@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -30,7 +31,8 @@ TEST(HostStateTest, StartsEmpty) {
   const HostState host(0, kWorker);
   EXPECT_TRUE(host.empty());
   EXPECT_EQ(host.alloc(), (core::Resources{}));
-  EXPECT_EQ(host.unallocated(), kWorker);
+  EXPECT_EQ(host.load().config, kWorker);
+  EXPECT_EQ(host.load().mem_capacity, kWorker.mem_mib);
 }
 
 TEST(HostStateTest, AddCommitsIntegerCores) {
@@ -51,8 +53,8 @@ TEST(HostStateTest, LevelsAccountSeparately) {
   EXPECT_EQ(host.committed_vcpus(OversubLevel{2}), 3U);
   EXPECT_EQ(host.committed_vcpus(OversubLevel{3}), 3U);
   EXPECT_EQ(host.committed_vcpus(OversubLevel{1}), 0U);
-  const auto commitments = host.level_commitments();
-  EXPECT_EQ(commitments.size(), 2U);
+  const auto& levels = host.load().vcpus_per_level;
+  EXPECT_EQ(std::ranges::count_if(levels, [](core::VcpuCount v) { return v > 0; }), 2);
 }
 
 TEST(HostStateTest, CanHostChecksBothDimensions) {
@@ -98,7 +100,7 @@ TEST(HostStateTest, CoresWithMatchesAddRemove) {
   HostState host(0, kWorker);
   host.add(VmId{1}, spec(5, gib(4), 3));
   const VmSpec candidate = spec(2, gib(2), 3);
-  const core::CoreCount predicted = host.cores_with(candidate);
+  const core::CoreCount predicted = host.load().cores_with(candidate);
   host.add(VmId{2}, candidate);
   EXPECT_EQ(host.alloc().cores, predicted);
 }
@@ -194,18 +196,10 @@ TEST(HostStateTest, ReviveLeavesTheStateOfANewHost) {
   used.revive(7, other, 1.5);
   const HostState fresh(7, other, 1.5);
   EXPECT_EQ(used.id(), fresh.id());
-  EXPECT_EQ(used.config(), fresh.config());
-  EXPECT_EQ(used.mem_oversub(), fresh.mem_oversub());
-  EXPECT_EQ(used.epoch(), 0U);
-  EXPECT_EQ(used.phase(), HostPhase::kUp);
-  EXPECT_EQ(used.alloc(), fresh.alloc());
-  EXPECT_EQ(used.heat(), 0.0);
-  EXPECT_EQ(used.heat_bucket(), 0U);
-  EXPECT_EQ(used.heat_bucket_width(), 0.0);
+  // Config, memory bound, phase, epoch 0, every level, heat: all as new.
+  EXPECT_TRUE(used.load() == fresh.load());
   EXPECT_TRUE(used.empty());
   EXPECT_EQ(used.reservation_count(), 0U);
-  EXPECT_TRUE(used.level_commitments().empty());
-  EXPECT_EQ(used.mem_capacity(), fresh.mem_capacity());
   // It fills like a new host.
   used.add(VmId{5}, spec(4, gib(8), 2));
   EXPECT_EQ(used.alloc(), (core::Resources{2, gib(8)}));

@@ -101,19 +101,19 @@ TEST(HeatBucket, EpochBumpsOnlyOnBucketCrossings) {
   host.set_heat(0.1, 0.25);  // bucket 0 -> 0: no crossing
   EXPECT_DOUBLE_EQ(host.heat(), 0.1);
   EXPECT_EQ(host.heat_bucket(), 0U);
-  EXPECT_DOUBLE_EQ(host.quantized_heat(), 0.0);
+  EXPECT_DOUBLE_EQ(host.load().quantized_heat(), 0.0);
   EXPECT_EQ(host.epoch(), e0);
   host.set_heat(0.24, 0.25);  // still bucket 0
   EXPECT_EQ(host.epoch(), e0);
   host.set_heat(0.3, 0.25);  // crosses into bucket 1
   EXPECT_EQ(host.heat_bucket(), 1U);
-  EXPECT_DOUBLE_EQ(host.quantized_heat(), 0.25);
+  EXPECT_DOUBLE_EQ(host.load().quantized_heat(), 0.25);
   EXPECT_EQ(host.epoch(), e0 + 1);
   host.set_heat(0.49, 0.25);  // within bucket 1
   EXPECT_EQ(host.epoch(), e0 + 1);
   host.set_heat(1.1, 0.25);  // jumps to bucket 4
   EXPECT_EQ(host.heat_bucket(), 4U);
-  EXPECT_DOUBLE_EQ(host.quantized_heat(), 1.0);
+  EXPECT_DOUBLE_EQ(host.load().quantized_heat(), 1.0);
   EXPECT_EQ(host.epoch(), e0 + 2);
   host.set_heat(0.0, 0.25);  // cools back to bucket 0
   EXPECT_EQ(host.heat_bucket(), 0U);
@@ -128,7 +128,7 @@ TEST(HeatBucket, NegativeHeatClampsAndZeroWidthDisablesQuantization) {
   host.set_heat(5.0, 0.0);  // no bucketing: everything is bucket 0
   EXPECT_DOUBLE_EQ(host.heat(), 5.0);
   EXPECT_EQ(host.heat_bucket(), 0U);
-  EXPECT_DOUBLE_EQ(host.quantized_heat(), 0.0);
+  EXPECT_DOUBLE_EQ(host.load().quantized_heat(), 0.0);
 }
 
 TEST(HeatBucket, VClusterMirrorsHeatIntoArenaWithoutEpochBump) {
@@ -138,14 +138,13 @@ TEST(HeatBucket, VClusterMirrorsHeatIntoArenaWithoutEpochBump) {
   cl.set_host_heat(0, 0.2, 0.25);  // within bucket 0: no epoch bump...
   EXPECT_EQ(cl.hosts()[0].epoch(), e0);
   EXPECT_DOUBLE_EQ(cl.host_heat(0), 0.2);
-  // ...but the arena mirror still tracks the raw value exactly.
-  EXPECT_DOUBLE_EQ(cl.arena().heat(0), 0.2);
-  EXPECT_EQ(cl.arena().heat_bucket(0), 0U);
-  EXPECT_TRUE(cl.arena().check(cl.hosts()).empty());
-  cl.set_host_heat(0, 0.9, 0.25);  // bucket 3: epoch bumps, arena follows
+  // ...but the host record still tracks the raw value exactly.
+  EXPECT_DOUBLE_EQ(cl.hosts()[0].load().heat, 0.2);
+  EXPECT_EQ(cl.hosts()[0].load().heat_bucket, 0U);
+  EXPECT_TRUE(sim::audit(cl).empty());
+  cl.set_host_heat(0, 0.9, 0.25);  // bucket 3: the epoch bumps
   EXPECT_EQ(cl.hosts()[0].epoch(), e0 + 1);
-  EXPECT_EQ(cl.arena().heat_bucket(0), 3U);
-  EXPECT_TRUE(cl.arena().check(cl.hosts()).empty());
+  EXPECT_EQ(cl.hosts()[0].load().heat_bucket, 3U);
   EXPECT_TRUE(sim::audit(cl).empty());
 }
 
@@ -162,14 +161,14 @@ TEST(InterferenceScorer, StacksQuantizedHeatPenaltyOnProgress) {
   const sched::ProgressScorer progress;
   const sched::InterferenceScorer scorer(3.0);
   // Cold host: identical to Algorithm 2.
-  EXPECT_DOUBLE_EQ(scorer.score(host, spec), progress.score(host, spec));
+  EXPECT_DOUBLE_EQ(scorer.score(host.load(), spec), progress.score(host.load(), spec));
   // The penalty reads the *quantized* heat, not the raw EWMA: within a
   // bucket the score must not move (PlacementIndex lazy-deletion protocol).
   host.set_heat(0.2, 0.25);
-  EXPECT_DOUBLE_EQ(scorer.score(host, spec), progress.score(host, spec));
+  EXPECT_DOUBLE_EQ(scorer.score(host.load(), spec), progress.score(host.load(), spec));
   host.set_heat(1.1, 0.25);  // quantized to 1.0
-  EXPECT_DOUBLE_EQ(scorer.score(host, spec),
-                   progress.score(host, spec) - 3.0 * 1.0);
+  EXPECT_DOUBLE_EQ(scorer.score(host.load(), spec),
+                   progress.score(host.load(), spec) - 3.0 * 1.0);
   EXPECT_EQ(scorer.name(), "interference-aware(w=3)");
 }
 
@@ -179,7 +178,7 @@ TEST(InterferenceScorer, ZeroWeightDegeneratesToProgress) {
   const VmSpec spec = make_spec(8, gib(16), 3);
   const sched::ProgressScorer progress;
   const sched::InterferenceScorer scorer(0.0);
-  EXPECT_DOUBLE_EQ(scorer.score(host, spec), progress.score(host, spec));
+  EXPECT_DOUBLE_EQ(scorer.score(host.load(), spec), progress.score(host.load(), spec));
 }
 
 // --- stale-heap regression: bucket crossings must invalidate the index ------
@@ -390,7 +389,6 @@ TEST(InterferenceDifferential, TenThousandEventChurnMatchesNaiveScan) {
         }
       }
       if (event % 2000 == 0) {
-        EXPECT_TRUE(indexed.arena().check(indexed.hosts()).empty());
         EXPECT_TRUE(sim::audit(indexed).empty());
       }
     }
@@ -422,16 +420,26 @@ TEST(PlanDifferential, TenThousandEventChurnMatchesNaivePasses) {
   // >= 10k randomized place/remove/fault/heat events on one indexed
   // cluster; at every checkpoint both planner passes must reproduce their
   // verbatim naive references move-for-move (same VMs, same sources, same
-  // targets, same order) — the scratch-column / heat-bucket-streaming
+  // targets, same order) — the scratch-load / heat-bucket-streaming
   // stress for the incremental control plane.
   struct ScorerCase {
     const char* label;
     std::function<std::unique_ptr<sched::Scorer>()> make;
   };
+  // Every in-tree scorer: each one takes the incremental planner.
   const std::vector<ScorerCase> scorers = {
       {"progress", [] { return std::unique_ptr<sched::Scorer>{}; }},
       {"interference-w4",
        [] { return std::make_unique<sched::InterferenceScorer>(4.0); }},
+      {"best-fit", [] { return std::make_unique<sched::BestFitScorer>(); }},
+      {"worst-fit", [] { return std::make_unique<sched::WorstFitScorer>(); }},
+      {"composite(1*progress+0.25*best-fit)",
+       []() -> std::unique_ptr<sched::Scorer> {
+         auto composite = std::make_unique<sched::CompositeScorer>();
+         composite->add(std::make_unique<sched::ProgressScorer>(), 1.0);
+         composite->add(std::make_unique<sched::BestFitScorer>(), 0.25);
+         return composite;
+       }},
   };
   for (const ScorerCase& sc : scorers) {
     SCOPED_TRACE(sc.label);
@@ -599,21 +607,15 @@ TEST(PlanDifferential, TieHeavyFleetMatchesNaiveMoveForMove) {
   EXPECT_TRUE(sim::audit(cluster).empty());
 }
 
-/// Progress scorer that counts every score it computes, columnar or not.
+/// Progress scorer that counts every score it computes.
 class CountingScorer final : public sched::Scorer {
  public:
   explicit CountingScorer(std::size_t& evals) : evals_(&evals) {}
-  [[nodiscard]] double score(const sched::HostState& host,
+  [[nodiscard]] double score(const sched::HostLoad& host,
                              const VmSpec& spec) const override {
     ++*evals_;
     return inner_.score(host, spec);
   }
-  [[nodiscard]] double score(const sched::HostCols& host,
-                             const VmSpec& spec) const override {
-    ++*evals_;
-    return inner_.score(host, spec);
-  }
-  [[nodiscard]] bool supports_cols() const noexcept override { return true; }
   [[nodiscard]] std::string name() const override { return "counting"; }
 
  private:

@@ -32,7 +32,8 @@ TEST(ProgressScorerTest, PrefersComplementaryHost) {
 
   const ProgressScorer scorer;
   const VmSpec candidate = spec(2, gib(8), 3);  // 1 core, 8 GiB: ratio 8
-  EXPECT_GT(scorer.score(cpu_heavy, candidate), scorer.score(mem_heavy, candidate));
+  EXPECT_GT(scorer.score(cpu_heavy.load(), candidate),
+            scorer.score(mem_heavy.load(), candidate));
 }
 
 TEST(ProgressScorerTest, UsesHostAwareCoreDelta) {
@@ -42,16 +43,16 @@ TEST(ProgressScorerTest, UsesHostAwareCoreDelta) {
   host.add(VmId{1}, spec(16, gib(8), 1));   // CPU heavy: ratio 0.5
   host.add(VmId{2}, spec(2, gib(2), 3));    // 1 core @3:1, slack for 1 vcpu
   const ProgressScorer scorer;
-  const double s = scorer.score(host, spec(1, gib(4), 3));
+  const double s = scorer.score(host.load(), spec(1, gib(4), 3));
   EXPECT_GT(s, 0.0);
 }
 
 TEST(ProgressScorerTest, EmptyHostScoresAtMostZero) {
   const HostState host(0, kWorker);
   const ProgressScorer scorer;
-  EXPECT_LE(scorer.score(host, spec(4, gib(4), 1)), 0.0);
+  EXPECT_LE(scorer.score(host.load(), spec(4, gib(4), 1)), 0.0);
   // A perfectly balanced VM (ratio 4) scores exactly zero.
-  EXPECT_DOUBLE_EQ(scorer.score(host, spec(2, gib(8), 1)), 0.0);
+  EXPECT_DOUBLE_EQ(scorer.score(host.load(), spec(2, gib(8), 1)), 0.0);
 }
 
 TEST(BestFitScorerTest, FullerHostWins) {
@@ -61,7 +62,8 @@ TEST(BestFitScorerTest, FullerHostWins) {
   emptier.add(VmId{2}, spec(2, gib(8), 1));
   const BestFitScorer scorer;
   const VmSpec candidate = spec(2, gib(4), 1);
-  EXPECT_GT(scorer.score(fuller, candidate), scorer.score(emptier, candidate));
+  EXPECT_GT(scorer.score(fuller.load(), candidate),
+            scorer.score(emptier.load(), candidate));
 }
 
 TEST(WorstFitScorerTest, IsNegatedBestFit) {
@@ -70,7 +72,8 @@ TEST(WorstFitScorerTest, IsNegatedBestFit) {
   const BestFitScorer best;
   const WorstFitScorer worst;
   const VmSpec candidate = spec(1, gib(2), 2);
-  EXPECT_DOUBLE_EQ(worst.score(host, candidate), -best.score(host, candidate));
+  EXPECT_DOUBLE_EQ(worst.score(host.load(), candidate),
+                   -best.score(host.load(), candidate));
 }
 
 TEST(CompositeScorerTest, WeightedSum) {
@@ -82,7 +85,8 @@ TEST(CompositeScorerTest, WeightedSum) {
   const VmSpec candidate = spec(1, gib(2), 1);
   const BestFitScorer best;
   // 2*b + 1*(-b) = b
-  EXPECT_DOUBLE_EQ(composite.score(host, candidate), best.score(host, candidate));
+  EXPECT_DOUBLE_EQ(composite.score(host.load(), candidate),
+                   best.score(host.load(), candidate));
   EXPECT_EQ(composite.size(), 2U);
 }
 

@@ -123,7 +123,7 @@ TEST(VClusterTest, DuplicatePlacementThrowsAndChangesNothing) {
   EXPECT_THROW(static_cast<void>(cluster.try_place(VmId{2}, spec(1, gib(1), 1))),
                core::SlackError);
   EXPECT_EQ(cluster.opened_hosts(), 1U);
-  EXPECT_EQ(cluster.arena().size(), 1U);
+  EXPECT_EQ(cluster.total_config(), cluster.hosts()[0].config());
   EXPECT_EQ(cluster.total_alloc(), alloc);
   EXPECT_EQ(cluster.hosts()[0].epoch(), epoch);
   EXPECT_EQ(cluster.vm_count(), 2U);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -278,6 +280,17 @@ TEST(Audit, FlagsVmOnFailedHostAndPassesCoherentState) {
   const auto violations = audit(std::span<const sched::HostState>(hosts));
   ASSERT_FALSE(violations.empty());
   EXPECT_NE(violations.front().find("FAILED"), std::string::npos);
+}
+
+TEST(Audit, HeatPastTheLargestBucketAuditsClean) {
+  // set_heat files a quotient past the largest bucket in that bucket; the
+  // audit must recompute the bucket with the same quantizer.
+  std::vector<sched::HostState> hosts;
+  hosts.emplace_back(0, kWorker);
+  hosts[0].set_heat(1.0, 1e-12);
+  ASSERT_EQ(hosts[0].heat_bucket(), std::numeric_limits<std::uint32_t>::max());
+  const auto violations = audit(std::span<const sched::HostState>(hosts));
+  EXPECT_TRUE(violations.empty()) << violations.front();
 }
 
 TEST(Audit, DebugAuditCheckThrowsInsideReplayOnViolation) {
