@@ -9,10 +9,10 @@
 //     buckets; reports wall nanoseconds per score() call for both and the
 //     interference scorer's overhead over Algorithm 2 alone.
 //
-//  2. *Heat refresh cost* — update_cluster_heat (the per-host demand
-//     sample + EWMA write that the replay loop schedules every
-//     heat_interval) over the same fleet; reports wall nanoseconds per
-//     host refresh.
+//  2. *Heat refresh cost* — update_cluster_heat (the DemandCache sample +
+//     EWMA write that a replay shard schedules every heat_interval,
+//     through one cache per cluster) over the same fleet; reports wall
+//     nanoseconds per host refresh.
 //
 //  3. *Loop overhead* — the same generated trace replayed with the plain
 //     progress rebalance loop and with the full interference loop (heat
@@ -24,8 +24,8 @@
 //     non-zero on divergence.
 //
 //  4. *Plan throughput* — one consolidation pass (budget 16) on post-churn
-//     fleets of 1k/10k/100k hosts, the verbatim naive fleet-copy pass vs
-//     the incremental scratch-column pass (the plan() dispatch), with the
+//     fleets of 1k/10k/100k hosts, the naive fleet-copy reference
+//     (tests/reference/planners.hpp) vs Rebalancer::plan, with the
 //     plans checked identical and the scratch pass's allocation count
 //     probed flat across warm passes. A counting scorer reports the
 //     deterministic number of score() calls per pass for both. The naive
@@ -51,6 +51,7 @@
 #include "bench_util.hpp"
 #include "core/rng.hpp"
 #include "core/vm.hpp"
+#include "reference/planners.hpp"
 #include "sched/policy.hpp"
 #include "sched/rebalancer.hpp"
 #include "sched/scorer.hpp"
@@ -170,13 +171,14 @@ HeatResult bench_heat(sim::Datacenter& dc, std::size_t rounds,
                       std::size_t reps) {
   sched::VCluster& cl = dc.cluster(0);
   HeatResult out;
+  sim::DemandCache cache;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     std::size_t refreshes = 0;
     const auto start = Clock::now();
     for (std::size_t r = 0; r < rounds; ++r) {
       // Varying t walks the usage signals so the EWMA input changes.
       refreshes += sim::update_cluster_heat(
-          cl, 900.0 * static_cast<double>(r + 1), 0.3, 0.25);
+          cl, 900.0 * static_cast<double>(r + 1), 0.3, 0.25, &cache);
     }
     const double wall =
         std::chrono::duration<double>(Clock::now() - start).count();
@@ -291,8 +293,8 @@ PlanCase bench_plan(std::size_t hosts, std::size_t naive_cap, std::size_t reps) 
   out.hosts = cl.opened_hosts();
 
   // Warm pass: grows the scratch columns once and syncs the indexes.
-  const sched::MigrationPlan reference = rebalancer.plan(cl, kPlanBudget);
-  out.migrations = reference.migrations.size();
+  const sched::MigrationPlan first = rebalancer.plan(cl, kPlanBudget);
+  out.migrations = first.migrations.size();
 
   // Allocation flatness across consecutive warm passes: the only per-pass
   // allocations left are the returned plan's own vectors.
@@ -304,7 +306,7 @@ PlanCase bench_plan(std::size_t hosts, std::size_t naive_cap, std::size_t reps) 
   out.allocs_pass2 = a1 - a0;
   out.allocs_pass3 = a2 - a1;
   out.plans_identical =
-      same_plan(reference, warm2) && same_plan(reference, warm3);
+      same_plan(first, warm2) && same_plan(first, warm3);
 
   for (std::size_t rep = 0; rep < reps; ++rep) {
     const auto start = Clock::now();
@@ -314,11 +316,11 @@ PlanCase bench_plan(std::size_t hosts, std::size_t naive_cap, std::size_t reps) 
     if (rep == 0 || wall * 1e9 < out.scratch_ns) {
       out.scratch_ns = wall * 1e9;
     }
-    out.plans_identical = out.plans_identical && same_plan(reference, plan);
+    out.plans_identical = out.plans_identical && same_plan(first, plan);
   }
   const sched::Rebalancer counted(std::make_unique<CountingScorer>(out.score_evals));
   out.plans_identical =
-      out.plans_identical && same_plan(reference, counted.plan(cl, kPlanBudget));
+      out.plans_identical && same_plan(first, counted.plan(cl, kPlanBudget));
 
   // The naive pass copies the whole HostState fleet once per call plus once
   // per drain attempt — quadratic on big fleets, so it is capped.
@@ -326,18 +328,19 @@ PlanCase bench_plan(std::size_t hosts, std::size_t naive_cap, std::size_t reps) 
     out.naive_measured = true;
     for (std::size_t rep = 0; rep < reps; ++rep) {
       const auto start = Clock::now();
-      const sched::MigrationPlan plan = rebalancer.plan_naive(cl, kPlanBudget);
+      const sched::MigrationPlan plan =
+          reference::plan_naive(cl, rebalancer.scorer(), kPlanBudget);
       const double wall =
           std::chrono::duration<double>(Clock::now() - start).count();
       if (rep == 0 || wall * 1e9 < out.naive_ns) {
         out.naive_ns = wall * 1e9;
       }
-      out.plans_identical = out.plans_identical && same_plan(reference, plan);
+      out.plans_identical = out.plans_identical && same_plan(first, plan);
     }
-    const sched::Rebalancer counted_naive(
-        std::make_unique<CountingScorer>(out.naive_score_evals));
-    out.plans_identical = out.plans_identical &&
-                          same_plan(reference, counted_naive.plan_naive(cl, kPlanBudget));
+    const CountingScorer counted_naive(out.naive_score_evals);
+    out.plans_identical =
+        out.plans_identical &&
+        same_plan(first, reference::plan_naive(cl, counted_naive, kPlanBudget));
   }
   return out;
 }

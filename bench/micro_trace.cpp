@@ -17,16 +17,16 @@
 //     then replay the Trace, paying O(rows) vectors plus the fully
 //     populated event queue up-front. The RunResults of 1 and 2 are
 //     checked bit-identical and the process exits non-zero on divergence.
-//  3. *Parse throughput* — rows/s of Trace::read_csv (istream + stod
-//     reference) vs TraceReader three ways: read_all() in chunked and mmap
-//     modes (materializing, so they still pay the O(rows) vector +
-//     sorted-Trace construction floor that read_csv also pays), and the
-//     pure streaming pull (a next() loop, the path replay actually uses —
+//  3. *Parse throughput* — rows/s of reference::read_csv (istream + stod,
+//     tests/reference/trace_csv.hpp) vs TraceReader three ways: read_all()
+//     in chunked and mmap modes (materializing, so they still pay the
+//     O(rows) vector + sorted-Trace construction floor that read_csv also
+//     pays), and the pure streaming pull (a next() loop, the path replay actually uses —
 //     no materialization at all). The materialized traces are checked
 //     row-for-row bit-identical against the reference. The streaming pull
 //     measures 7-9x read_csv on the 2.1 GHz reference core (the target was
-//     10x; the remaining gap is machine noise plus the fact that this PR
-//     also sped up the read_csv baseline with a reserve heuristic).
+//     10x; the remaining gap is machine noise plus a reserve heuristic
+//     that also sped up the read_csv baseline).
 //
 //   micro_trace [--rows N] [--file PATH] [--keep] [--json]
 //
@@ -39,6 +39,7 @@
 
 #include "bench_util.hpp"
 #include "core/vm.hpp"
+#include "reference/trace_csv.hpp"
 #include "sched/policy.hpp"
 #include "sim/datacenter.hpp"
 #include "sim/event_source.hpp"
@@ -202,7 +203,7 @@ int main(int argc, char** argv) {
   {
     std::ifstream in(path, std::ios::binary);
     const auto start = Clock::now();
-    const workload::Trace reference = workload::Trace::read_csv(in);
+    const workload::Trace expected = reference::read_csv(in);
     istream_wall = seconds_since(start);
 
     workload::TraceReaderOptions chunked_options;  // defaults: 1 MiB chunks
@@ -228,8 +229,8 @@ int main(int argc, char** argv) {
     }
     scan_wall = seconds_since(scan_start);
 
-    parse_identical = same_rows(reference, chunked) &&
-                      same_rows(reference, mmapped) && scanned == actual_rows;
+    parse_identical = same_rows(expected, chunked) &&
+                      same_rows(expected, mmapped) && scanned == actual_rows;
   }
   if (!keep) {
     std::remove(path.c_str());

@@ -6,11 +6,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "sched/policy.hpp"
 #include "sim/replay.hpp"
 #include "workload/generator.hpp"
+#include "workload/trace_reader.hpp"
 
 using namespace slackvm;
 
@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
   }
   std::printf("trace written to %s\n", out_path);
 
-  std::ifstream in(out_path);
-  const workload::Trace reloaded = workload::Trace::read_csv(in);
+  const workload::Trace reloaded = workload::TraceReader(out_path).read_all();
   std::printf("reloaded %zu VMs from CSV\n\n", reloaded.size());
 
   struct PolicyChoice {

@@ -31,23 +31,9 @@ void HeatIndex::reset() noexcept {
   occupied_.clear();
   dirty_.clear();
   indexed_ = 0;
-  width_ = 0.0;
-  ordered_ = true;
 }
 
 void HeatIndex::update(const HostState& host) {
-  const double width = host.load().heat_bucket_width;
-  if (width > 0.0) {
-    if (width_ == 0.0) {
-      width_ = width;
-    } else if (width_ != width) {
-      ordered_ = false;
-    }
-  } else if (host.heat() != 0.0) {
-    // Heat written with quantization disabled: the bucket (pinned at 0) no
-    // longer bounds the raw value.
-    ordered_ = false;
-  }
   const HostId id = host.id();
   if (id >= cached_.size()) {
     cached_.resize(std::size_t{id} + 1);
@@ -57,10 +43,6 @@ void HeatIndex::update(const HostState& host) {
     return;  // the bucket cannot have moved without an epoch bump
   }
   const Bucket bucket = host.heat_bucket();
-  if (bucket >= kMaxBuckets) {
-    // Filed in the last slot, which then holds more than one bucket.
-    ordered_ = false;
-  }
   if (cached.present && cached.bucket == bucket) {
     cached.epoch = host.epoch();  // epoch moved, bucket did not: refile-free
     return;

@@ -23,10 +23,16 @@
 //  3. dirty ids >= hosts.size() are rolled-back openings and are dropped,
 //     exactly like PlacementIndex::sync.
 //
-// The index is owned by VCluster behind the same set_index_enabled hook as
-// the placement index: disabling it restores the verbatim naive
-// plan_interference scan, which is what keeps the incremental path
-// differentially tested by the index {on,off} acceptance matrix.
+// Buckets from kMaxBuckets - 1 up share the table's last slot, so visit
+// order stays monotone in heat: that slot holds only heats >= (kMaxBuckets
+// - 1)*w, and the planner compares raw heats inside a slot anyway. The
+// ordering argument needs one width w per cluster, which
+// VCluster::set_host_heat enforces (hosts never heated sit at heat 0 in
+// bucket 0, consistent with any width).
+//
+// VCluster owns the index and builds it lazily on the first polluter pass.
+// Rebalancer::plan_interference is its only reader; the naive scan it must
+// match lives in tests/reference/planners.hpp.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +50,8 @@ class HeatIndex {
   using Bucket = std::uint32_t;
 
   /// Buckets at or above this id share the last slot of the dense bucket
-  /// table (and void the ordering, see ordered()): a tiny bucket width must
-  /// not size the table to millions of empty slots.
+  /// table: a tiny bucket width must not size the table to millions of
+  /// empty slots.
   static constexpr Bucket kMaxBuckets = 4096;
 
   enum class Order { kCoolestFirst, kHottestFirst };
@@ -88,18 +94,6 @@ class HeatIndex {
   /// Unconsumed dirty-log entries (VCluster bounds this between passes).
   [[nodiscard]] std::size_t dirty_size() const noexcept { return dirty_.size(); }
 
-  /// True while visit() order is heat order: every filed host has been
-  /// quantized with one common bucket width (hosts never heated — width 0,
-  /// heat 0, bucket 0 — are trivially consistent with any width), and no
-  /// bucket reached kMaxBuckets. Cross-bucket heat comparisons are only
-  /// sound then: bucket b spans raw heats [b*w, (b+1)*w) and equal heats
-  /// share a bucket. Planners must fall back to the naive scan when false.
-  /// Sticky once tripped (conservative: correctness over speed). Detection
-  /// rides the epoch protocol, so it covers exactly the writes the index
-  /// hears about; the supported contract is the one the heat feeder
-  /// implements — a single bucket width per cluster run.
-  [[nodiscard]] bool ordered() const noexcept { return ordered_; }
-
   /// Audit against the authoritative rows (call after sync): every host
   /// filed exactly once under its current bucket. One line per divergence.
   [[nodiscard]] std::vector<std::string> check(
@@ -129,8 +123,6 @@ class HeatIndex {
   HostBitset occupied_;              ///< slots whose bitset is non-empty
   std::vector<HostId> dirty_;
   std::size_t indexed_ = 0;
-  double width_ = 0.0;  ///< first positive bucket width seen
-  bool ordered_ = true;
 };
 
 }  // namespace slackvm::sched

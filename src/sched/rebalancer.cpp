@@ -22,193 +22,6 @@ void InterferenceOptions::validate() const {
   SLACKVM_ASSERT(evictions_per_pass > 0);
 }
 
-MigrationPlan Rebalancer::plan(const VCluster& cluster,
-                               std::size_t max_migrations) const {
-  // A cluster with its index switched off runs the verbatim naive pass,
-  // keeping both differentially comparable.
-  if (cluster.index_enabled()) {
-    return plan_incremental(cluster, max_migrations);
-  }
-  return plan_naive(cluster, max_migrations);
-}
-
-MigrationPlan Rebalancer::plan_naive(const VCluster& cluster,
-                                     std::size_t max_migrations) const {
-  MigrationPlan plan;
-  // Work on a scratch copy of the host states. Each host is attempted as a
-  // drain source at most once, and emptied hosts never receive migrations —
-  // otherwise two light hosts would ping-pong their VMs forever.
-  std::vector<HostState> hosts = cluster.hosts();
-  std::vector<bool> attempted(hosts.size(), false);
-  std::vector<bool> emptied(hosts.size(), false);
-
-  while (plan.migrations.size() < max_migrations) {
-    // Pick the untried non-empty host with the fewest VMs — the cheapest
-    // host to empty entirely.
-    std::optional<std::size_t> candidate;
-    for (std::size_t h = 0; h < hosts.size(); ++h) {
-      if (hosts[h].empty() || attempted[h]) {
-        continue;
-      }
-      if (!candidate || hosts[h].vm_count() < hosts[*candidate].vm_count()) {
-        candidate = h;
-      }
-    }
-    if (!candidate) {
-      break;  // nothing left to try
-    }
-    attempted[*candidate] = true;
-    HostState& source = hosts[*candidate];
-    if (source.vm_count() > max_migrations - plan.migrations.size()) {
-      break;  // even the cheapest drain exceeds the budget
-    }
-
-    // Tentatively migrate every VM of the source, best target first.
-    std::vector<Migration> drain;
-    std::vector<HostState> snapshot = hosts;  // rollback point
-    bool drained = true;
-    // Ascending VmId order: each successful move removes the source's
-    // lowest-id VM, so the front is always the next one to place.
-    while (!source.empty()) {
-      const auto [vm, spec] = source.vms().front();
-      std::optional<std::size_t> best;
-      double best_score = 0.0;
-      for (std::size_t h = 0; h < hosts.size(); ++h) {
-        if (h == *candidate || emptied[h] || !hosts[h].can_host(spec)) {
-          continue;
-        }
-        const double score = scorer().score(hosts[h].load(), spec);
-        if (!best || score > best_score) {
-          best = h;
-          best_score = score;
-        }
-      }
-      if (!best) {
-        drained = false;
-        break;
-      }
-      source.remove(vm);
-      hosts[*best].add(vm, spec);
-      drain.push_back(Migration{vm, static_cast<HostId>(*candidate),
-                                static_cast<HostId>(*best)});
-    }
-
-    if (!drained) {
-      hosts = std::move(snapshot);  // undo the partial drain, try next host
-      continue;
-    }
-    emptied[*candidate] = true;
-    plan.migrations.insert(plan.migrations.end(), drain.begin(), drain.end());
-    ++plan.hosts_emptied;
-  }
-  return plan;
-}
-
-MigrationPlan Rebalancer::plan_interference(const VCluster& cluster,
-                                            const perf::ContentionModel& model,
-                                            const InterferenceOptions& options) const {
-  if (!options.enabled) {
-    return MigrationPlan{};
-  }
-  // The cluster's heat index follows set_index_enabled: nullptr
-  // means the verbatim naive scan must run. Mixed quantization widths (or a
-  // bucket past the index's table) void the cross-bucket ordering the
-  // incremental scans rely on.
-  const HeatIndex* index = cluster.synced_heat_index();
-  if (index != nullptr && index->ordered()) {
-    return plan_interference_incremental(cluster, *index, model, options);
-  }
-  return plan_interference_naive(cluster, model, options);
-}
-
-MigrationPlan Rebalancer::plan_interference_naive(
-    const VCluster& cluster, const perf::ContentionModel& model,
-    const InterferenceOptions& options) const {
-  MigrationPlan plan;
-  if (!options.enabled) {
-    return plan;
-  }
-  // Scratch copy: planned evictions adjust the copies' heat so one pass
-  // spreads its moves instead of dogpiling the coolest host. Each host is
-  // considered as a polluter source at most once per pass.
-  std::vector<HostState> hosts = cluster.hosts();
-  std::vector<bool> attempted(hosts.size(), false);
-
-  while (plan.migrations.size() < options.evictions_per_pass) {
-    // Hottest untried UP host with at least two VMs (evicting the only VM
-    // of a host just moves the whole load somewhere cooler — polluter
-    // separation needs co-located victims to split).
-    std::optional<std::size_t> source;
-    for (std::size_t h = 0; h < hosts.size(); ++h) {
-      if (attempted[h] || hosts[h].phase() != HostPhase::kUp ||
-          hosts[h].vm_count() < 2) {
-        continue;
-      }
-      if (!source || hosts[h].heat() > hosts[*source].heat()) {
-        source = h;  // strict > keeps ties on the lowest id
-      }
-    }
-    if (!source) {
-      break;
-    }
-    // The fleet is scanned hottest-first, so once the hottest candidate sits
-    // below the threshold every other host does too.
-    if (model.contention_inflation(hosts[*source].heat()) <= options.threshold) {
-      break;
-    }
-    attempted[*source] = true;
-    ++plan.hot_hosts;
-    HostState& src = hosts[*source];
-
-    // Heaviest contributor: max expected physical-core demand, i.e. vCPUs
-    // weighted by the VM's long-run mean usage. Deterministic: candidates
-    // are ranked in ascending VmId order and replaced only on strictly
-    // higher demand, so ties keep the lowest id.
-    std::optional<core::VmId> victim;
-    double victim_demand = 0.0;
-    for (const auto& [vm, spec] : src.vms()) {
-      const double demand = static_cast<double>(spec.vcpus) *
-                            workload::UsageSignal(vm, spec.usage).mean();
-      if (!victim || demand > victim_demand) {
-        victim = vm;
-        victim_demand = demand;
-      }
-    }
-    const core::VmSpec spec = src.spec_of(*victim);
-
-    // Coolest strictly-cooler UP host that fits the victim; ties to the
-    // lowest id via strict <.
-    std::optional<std::size_t> target;
-    for (std::size_t h = 0; h < hosts.size(); ++h) {
-      if (h == *source || hosts[h].heat() >= src.heat() ||
-          !hosts[h].can_host(spec)) {
-        continue;
-      }
-      if (!target || hosts[h].heat() < hosts[*target].heat()) {
-        target = h;
-      }
-    }
-    if (!target) {
-      continue;  // hottest host is stuck; try the next-hottest
-    }
-
-    // Move the victim in scratch and shift its expected demand share
-    // between the two heat columns (the EWMA re-converges on the real
-    // values at the next heat refresh; this only guides within-pass
-    // decisions).
-    src.remove(*victim);
-    hosts[*target].add(*victim, spec);
-    const double src_cores = static_cast<double>(src.config().cores);
-    const double dst_cores = static_cast<double>(hosts[*target].config().cores);
-    src.set_heat(src.heat() - victim_demand / src_cores, options.heat_bucket);
-    hosts[*target].set_heat(hosts[*target].heat() + victim_demand / dst_cores,
-                            options.heat_bucket);
-    plan.migrations.push_back(Migration{*victim, static_cast<HostId>(*source),
-                                        static_cast<HostId>(*target)});
-  }
-  return plan;
-}
-
 // --- PlanScratch: planning state --------------------------------------------
 
 void Rebalancer::PlanScratch::load(std::span<const HostState> hosts) {
@@ -359,10 +172,10 @@ std::optional<HostId> Rebalancer::PlanScratch::best_target(const core::VmSpec& s
   return root.host == kNoHost ? std::nullopt : std::optional<HostId>{root.host};
 }
 
-// --- incremental passes -----------------------------------------------------
+// --- planner passes ---------------------------------------------------------
 
-MigrationPlan Rebalancer::plan_incremental(const VCluster& cluster,
-                                           std::size_t max_migrations) const {
+MigrationPlan Rebalancer::plan(const VCluster& cluster,
+                               std::size_t max_migrations) const {
   MigrationPlan plan;
   PlanScratch& s = scratch_;
   const std::vector<HostState>& live = cluster.hosts();
@@ -446,10 +259,14 @@ MigrationPlan Rebalancer::plan_incremental(const VCluster& cluster,
   return plan;
 }
 
-MigrationPlan Rebalancer::plan_interference_incremental(
-    const VCluster& cluster, const HeatIndex& index,
-    const perf::ContentionModel& model, const InterferenceOptions& options) const {
+MigrationPlan Rebalancer::plan_interference(const VCluster& cluster,
+                                            const perf::ContentionModel& model,
+                                            const InterferenceOptions& options) const {
   MigrationPlan plan;
+  if (!options.enabled) {
+    return plan;
+  }
+  const HeatIndex& index = cluster.synced_heat_index();
   PlanScratch& s = scratch_;
   const std::vector<HostState>& live = cluster.hosts();
   s.load(live);
@@ -457,10 +274,12 @@ MigrationPlan Rebalancer::plan_interference_incremental(
   while (plan.migrations.size() < options.evictions_per_pass) {
     // Hottest untried UP host with >= 2 VMs. The few hosts this pass
     // already mutated (`shifted`) are overlaid from the scratch loads;
-    // everyone else is streamed from the index, hottest bucket first. Raw
-    // heats in bucket b span [b*w, (b+1)*w) and equal heats share a bucket,
-    // so once some bucket yields an eligible unshifted host, no cooler
-    // bucket can beat the running best — the scan stops there. The
+    // everyone else is streamed from the index, hottest bucket first. A
+    // cluster quantizes with one width w (VCluster::set_host_heat), so raw
+    // heats in bucket b span [b*w, (b+1)*w) — the last, folded one
+    // [(kMaxBuckets-1)*w, inf) — and equal heats share a bucket: once some
+    // bucket yields an eligible unshifted host, no cooler bucket can beat
+    // the running best, and the scan stops there. The
     // comparators reproduce the naive ascending strict-> scan: higher heat
     // wins, ties to the lower id.
     std::optional<HostId> source;

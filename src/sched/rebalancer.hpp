@@ -84,19 +84,14 @@ class Rebalancer {
   /// Plan up to `max_migrations` migrations on the cluster's current state.
   /// The cluster is not modified.
   ///
-  /// Runs the incremental PlanScratch path (a copy of every HostLoad,
-  /// per-attempt undo logs, lazy vm-count min-heap, one winner tree of drain
-  /// targets per spec class) when the cluster's index machinery is enabled;
-  /// otherwise the verbatim naive pass below. Both produce the bit-identical
-  /// plan (differential-tested) as long as the scorer never returns NaN.
+  /// Copies every HostLoad into the reusable PlanScratch, rolls failed
+  /// drains back through a per-attempt undo log, picks sources from a lazy
+  /// vm-count min-heap and targets from one winner tree per spec class. The
+  /// plan equals the naive fleet-copy pass move for move as long as the
+  /// scorer never returns NaN (tests/reference/planners.hpp holds that pass;
+  /// PlanDifferential.* compares them).
   [[nodiscard]] MigrationPlan plan(const VCluster& cluster,
                                    std::size_t max_migrations) const;
-
-  /// The original O(fleet-copy) pass, kept verbatim as the differential
-  /// reference for plan() (a cluster whose index machinery is switched off
-  /// through the set_index_enabled test hook also lands here).
-  [[nodiscard]] MigrationPlan plan_naive(const VCluster& cluster,
-                                         std::size_t max_migrations) const;
 
   /// Polluter-detection pass. Repeatedly picks the hottest untried UP host
   /// with >= 2 VMs whose contention inflation model(heat) exceeds
@@ -107,23 +102,25 @@ class Rebalancer {
   /// adjusted after each planned move so one pass does not dogpile a single
   /// cool target. The cluster is not modified; fully deterministic.
   ///
-  /// Hottest/coolest selection streams the cluster's HeatIndex buckets when
-  /// available (hosts this pass already shifted are overlaid from the
-  /// scratch loads); with the index disabled the verbatim naive scan
-  /// below runs. Both produce the bit-identical plan.
+  /// Hottest/coolest selection streams the cluster's HeatIndex buckets
+  /// (hosts this pass already shifted are overlaid from the scratch loads).
+  /// The plan equals the naive fleet-copy scan's (tests/reference/
+  /// planners.hpp; InterferenceDifferential.* compares them).
   [[nodiscard]] MigrationPlan plan_interference(
-      const VCluster& cluster, const perf::ContentionModel& model,
-      const InterferenceOptions& options) const;
-
-  /// The original O(fleet-copy) polluter pass, kept verbatim as the
-  /// differential reference for plan_interference.
-  [[nodiscard]] MigrationPlan plan_interference_naive(
       const VCluster& cluster, const perf::ContentionModel& model,
       const InterferenceOptions& options) const;
 
   /// Execute a plan. Returns the number of migrations actually performed
   /// (a migration may be skipped if the cluster changed since planning).
   static std::size_t apply_plan(VCluster& cluster, const MigrationPlan& plan);
+
+  /// The scorer picking drain targets.
+  [[nodiscard]] const Scorer& scorer() const noexcept {
+    if (custom_ != nullptr) {
+      return *custom_;
+    }
+    return progress_;
+  }
 
  private:
   /// Reusable planning state. One pass copies every host's HostLoad and VM
@@ -236,19 +233,6 @@ class Rebalancer {
       return right;
     }
   };
-
-  [[nodiscard]] MigrationPlan plan_incremental(const VCluster& cluster,
-                                               std::size_t max_migrations) const;
-  [[nodiscard]] MigrationPlan plan_interference_incremental(
-      const VCluster& cluster, const HeatIndex& index,
-      const perf::ContentionModel& model, const InterferenceOptions& options) const;
-
-  [[nodiscard]] const Scorer& scorer() const noexcept {
-    if (custom_ != nullptr) {
-      return *custom_;
-    }
-    return progress_;
-  }
 
   std::unique_ptr<Scorer> custom_;
   ProgressScorer progress_;

@@ -54,6 +54,7 @@ void VCluster::reset() {
   filter_.reset();
   max_hosts_.reset();
   index_enabled_ = true;
+  heat_width_ = 0.0;
   if (index_ != nullptr) {
     index_->reset();
   }
@@ -88,17 +89,14 @@ void VCluster::flush_index() {
   }
 }
 
-const HeatIndex* VCluster::synced_heat_index() const {
-  if (!index_enabled_) {
-    return nullptr;
-  }
+const HeatIndex& VCluster::synced_heat_index() const {
   if (heat_index_ == nullptr) {
     heat_index_ = std::make_unique<HeatIndex>();
     heat_index_->rebuild(hosts_);
   } else {
     heat_index_->sync(hosts_);
   }
-  return heat_index_.get();
+  return *heat_index_;
 }
 
 PlacementIndex* VCluster::active_index() {
@@ -225,6 +223,15 @@ bool VCluster::migrate(core::VmId vm, HostId to) {
 void VCluster::set_host_heat(HostId host, double heat, double bucket_width) {
   if (host >= hosts_.size()) {
     SLACKVM_THROW("VCluster::set_host_heat: unknown host");
+  }
+  if (!(bucket_width > 0.0)) {
+    SLACKVM_THROW("VCluster::set_host_heat: bucket width must be > 0");
+  }
+  if (heat_width_ == 0.0) {
+    heat_width_ = bucket_width;
+  } else if (bucket_width != heat_width_) {
+    SLACKVM_THROW("VCluster::set_host_heat: bucket width differs from the "
+                  "cluster's first one");
   }
   const std::uint64_t before = hosts_[host].epoch();
   hosts_[host].set_heat(heat, bucket_width);

@@ -56,29 +56,29 @@ class VCluster {
   }
 
   /// Incremental candidate index (placement_index.hpp), on by default:
-  /// try_place consults it instead of the naive O(hosts) policy scan, with
-  /// provably identical selection (differential-tested). Disabling it is
-  /// the test and bench hook that runs the exact pre-index code path the
-  /// differentials compare against; re-enabling rebuilds the index from
-  /// live state.
+  /// try_place consults it instead of the naive O(hosts) policy scan
+  /// (PlacementPolicy::select), with provably identical selection
+  /// (differential-tested). This hook chooses between those two placement
+  /// paths only; the planners and the heat index do not read it. Disabling
+  /// it is the test and bench hook that runs the policy scan; re-enabling
+  /// rebuilds the index from live state.
   void set_index_enabled(bool enabled) {
     index_enabled_ = enabled;
     if (!enabled) {
       index_.reset();
-      heat_index_.reset();
     }
   }
   [[nodiscard]] bool index_enabled() const noexcept { return index_enabled_; }
 
   /// Return to the state of a freshly constructed cluster (same name,
   /// fleet, memory ratio and policy; no hosts, no filter, no host cap,
-  /// index on, membership journal disarmed) while keeping every
-  /// container's storage. The hosts are parked, not destroyed: opening a
-  /// host revives a parked one in place (HostState::revive), so its VM
-  /// vector and reservation map keep their capacity. Every cache tagged
-  /// with host epochs is emptied, since revived hosts restart at epoch 0.
-  /// Placement is a pure function of host state, so a reset cluster places
-  /// exactly like a new one.
+  /// index on, no heat width pinned, membership journal disarmed) while
+  /// keeping every container's storage. The hosts are parked, not
+  /// destroyed: opening a host revives a parked one in place
+  /// (HostState::revive), so its VM vector and reservation map keep their
+  /// capacity. Every cache tagged with host epochs is emptied, since
+  /// revived hosts restart at epoch 0. Placement is a pure function of
+  /// host state, so a reset cluster places exactly like a new one.
   void reset();
 
   /// Pre-size the host containers for an expected number of VMs (a
@@ -166,7 +166,10 @@ class VCluster {
 
   /// Update a host's interference-heat EWMA through the index-safe funnel:
   /// the indexes are touched only when the quantized bucket crossed (== the
-  /// epoch bumped). Throws for unknown hosts.
+  /// epoch bumped). A cluster quantizes every host with one width: the
+  /// first call pins `bucket_width`, and a width <= 0 or different from the
+  /// pinned one throws, as does an unknown host; reset() clears the pin.
+  /// The heat index's visit order is heat order only under one width.
   void set_host_heat(HostId host, double heat, double bucket_width);
 
   /// Raw heat of an opened host; throws for unknown hosts.
@@ -205,11 +208,9 @@ class VCluster {
   [[nodiscard]] std::size_t nonempty_hosts() const noexcept { return nonempty_; }
 
   /// The quantized-heat bucket index serving plan_interference, its dirty
-  /// log replayed, or nullptr while the index machinery is disabled
-  /// (set_index_enabled(false): the rebalancer then falls back to the
-  /// verbatim naive scans). Created lazily on first use, like the
-  /// placement index; logically const (the member is a mutable cache).
-  [[nodiscard]] const HeatIndex* synced_heat_index() const;
+  /// log replayed. Created lazily on first use, whatever set_index_enabled
+  /// says; logically const (the member is a mutable cache).
+  [[nodiscard]] const HeatIndex& synced_heat_index() const;
 
   /// The placement index serving try_place, or nullptr while placements
   /// take the naive scan (or before the first one).
@@ -343,13 +344,14 @@ class VCluster {
   std::size_t nonempty_ = 0;
   VmDirectory placements_;  ///< VmId -> host, one entry per placed VM
   bool index_enabled_ = true;
+  double heat_width_ = 0.0;  ///< pinned by the first set_host_heat; 0 = none
   /// Membership journal (arm_membership_log). lost_ starts true so the
   /// first take after arming reports the pre-arming history as dropped.
   std::vector<MembershipDelta> membership_log_;
   bool membership_armed_ = false;
   bool membership_lost_ = true;
   std::unique_ptr<PlacementIndex> index_;
-  /// Lazily created cache (see synced_heat_index); reset with the index.
+  /// Lazily created cache (see synced_heat_index).
   mutable std::unique_ptr<HeatIndex> heat_index_;
 };
 

@@ -82,7 +82,8 @@ class Datacenter {
 
   /// Toggle every cluster's incremental placement index: a test and bench
   /// hook (ExperimentConfig::use_index), not a scenario knob. Selection is
-  /// identical either way; off preserves the exact naive-scan code path.
+  /// identical either way; off places through PlacementPolicy::select. The
+  /// planners and the heat feeder run the same code either way.
   void set_index_enabled(bool enabled);
 
   /// Return to the state of a freshly built datacenter of the same layout

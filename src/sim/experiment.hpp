@@ -48,8 +48,9 @@ struct ExperimentConfig {
   /// Consult the incremental placement index (sched/placement_index.hpp)
   /// during replays. Host selection is provably identical either way
   /// (differential-tested), so this only changes wall-clock time. It is a
-  /// test and bench hook, not a knob: off runs the exact naive scan through
-  /// Datacenter::set_index_enabled, which the differentials compare against.
+  /// test and bench hook, not a knob: off places through the policy's
+  /// naive scan (Datacenter::set_index_enabled). It touches placement only;
+  /// the planners and the heat feeder have one path each.
   bool use_index = true;
   /// Fault injection (sim/fault.hpp); disabled by default. A zero fault
   /// seed derives per repetition from the cell's workload seed, so each

@@ -346,9 +346,8 @@ RunResult replay_sharded(Datacenter& dc, EventSource& source,
       // the *previous* window's heat. Heat is cluster-local state, so the
       // update is race-free while shards run in parallel, and no observe()
       // fires: a run only differs from a heat-free run through actual
-      // placement changes. The demand caches are handed over only when the
-      // cluster's index machinery is on, so an index-off run keeps the naive
-      // sample as the live differential reference.
+      // placement changes. Each cluster's ticks go through the shard's
+      // demand cache for it, the journal's one reader.
       const sched::InterferenceOptions& itf = rebalance.interference;
       for (core::SimTime t = itf.heat_interval; t < horizon; t += itf.heat_interval) {
         for (ShardState& shard : shards) {
@@ -358,10 +357,9 @@ RunResult replay_sharded(Datacenter& dc, EventSource& source,
           shard.heat_caches.resize(dc.clusters().size());
           shard.queue.schedule(t, [&dc, &shard, &itf](core::SimTime now) {
             for (const std::size_t c : shard.clusters) {
-              DemandCache* cache =
-                  dc.cluster(c).index_enabled() ? &shard.heat_caches[c] : nullptr;
-              shard.partial.heat_updates += update_cluster_heat(
-                  dc.cluster(c), now, itf.heat_alpha, itf.heat_bucket, cache);
+              shard.partial.heat_updates +=
+                  update_cluster_heat(dc.cluster(c), now, itf.heat_alpha,
+                                      itf.heat_bucket, &shard.heat_caches[c]);
             }
             if (debug_audit_enabled()) {
               for (const std::size_t c : shard.clusters) {

@@ -33,27 +33,6 @@ UsageSample sample_usage(const Datacenter& dc, core::SimTime t) {
   return sample;
 }
 
-std::vector<HostUsage> sample_host_usage(const sched::VCluster& cluster,
-                                         core::SimTime t) {
-  // Take the host vector once; hosts() is not free and the loop below is
-  // the hot path of every heat tick.
-  const std::vector<sched::HostState>& hosts = cluster.hosts();
-  std::vector<HostUsage> out;
-  out.reserve(hosts.size());
-  for (const sched::HostState& host : hosts) {
-    HostUsage usage;
-    usage.capacity_cores = host.config().cores;
-    // Ascending-VmId summation (the host's own VM order): the heat this
-    // feeds steers placement, so the float result is pinned to that order.
-    for (const auto& [vm, spec] : host.vms()) {
-      usage.demand_cores += static_cast<double>(spec.vcpus) *
-                            workload::UsageSignal(vm, spec.usage).at(t);
-    }
-    out.push_back(usage);
-  }
-  return out;
-}
-
 void DemandCache::apply(const sched::MembershipDelta& delta) {
   if (delta.host >= entries_.size() || !entries_[delta.host].present) {
     // No cached view to patch (fresh opening, post-wipe, or a rolled-back
@@ -139,23 +118,12 @@ void DemandCache::restamp(const sched::VCluster& cluster) {
   }
 }
 
-
 std::size_t update_cluster_heat(sched::VCluster& cluster, core::SimTime t,
                                 double alpha, double bucket_width,
                                 DemandCache* cache) {
-  if (cache == nullptr) {
-    const std::vector<HostUsage> usage = sample_host_usage(cluster, t);
-    for (sched::HostId h = 0; h < usage.size(); ++h) {
-      const double q =
-          usage[h].capacity_cores > 0
-              ? usage[h].demand_cores / static_cast<double>(usage[h].capacity_cores)
-              : 0.0;
-      cluster.set_host_heat(
-          h, alpha * q + (1.0 - alpha) * cluster.host_heat(h), bucket_width);
-    }
-    return usage.size();
-  }
-  const std::vector<HostUsage>& usage = cache->sample(cluster, t);
+  DemandCache local;
+  DemandCache& demand = cache != nullptr ? *cache : local;
+  const std::vector<HostUsage>& usage = demand.sample(cluster, t);
   for (sched::HostId h = 0; h < usage.size(); ++h) {
     const double q =
         usage[h].capacity_cores > 0
@@ -167,7 +135,7 @@ std::size_t update_cluster_heat(sched::VCluster& cluster, core::SimTime t,
   // The EWMA writes bumped epochs on bucket crossings; adopt them now so a
   // later lossy journal round does not mistake heat churn for membership
   // churn.
-  cache->restamp(cluster);
+  demand.restamp(cluster);
   return usage.size();
 }
 

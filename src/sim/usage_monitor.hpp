@@ -8,7 +8,7 @@
 // effective utilization, and overload exposure (a host whose demand exceeds
 // its physical capacity is time-slicing, the §II-A overload situation).
 //
-// The per-host breakdown (sample_host_usage) and the EWMA feeder
+// The per-host demand cache (DemandCache) and the EWMA feeder
 // (update_cluster_heat) close the interference loop: they turn the same
 // usage signals into the per-host *heat* (sched::HostLoad::heat) that
 // sched::InterferenceScorer and the polluter pass consume.
@@ -68,22 +68,17 @@ struct UsageReport {
 };
 
 /// Take one sample of the datacenter's demand at time `t`. Each host's
-/// demand sums its VMs in ascending VmId order, as sample_host_usage does.
+/// demand sums its VMs in ascending VmId order, as DemandCache does.
 [[nodiscard]] UsageSample sample_usage(const Datacenter& dc, core::SimTime t);
-
-/// Per-host demand breakdown of one cluster at time `t`, indexed by HostId.
-/// Each host's demand sums its VMs in ascending VmId order (the order
-/// HostState::vms() lists them), which pins the floating-point result.
-[[nodiscard]] std::vector<HostUsage> sample_host_usage(
-    const sched::VCluster& cluster, core::SimTime t);
 
 /// Incremental demand terms behind update_cluster_heat: per host, the
 /// cached (ascending-VmId) list of vcpus x UsageSignal terms whose sum is
-/// exactly sample_host_usage's demand. A heat tick re-derives a host's term
-/// list (one walk of the host's ascending VM vector, one UsageSignal per
-/// VM) only when its epoch moved since the last tick; every other host just replays its
-/// cached terms, in the same stored order and with the same float ops, so
-/// the result is bit-identical to the naive sample.
+/// exactly the naive per-VM demand sum (tests/reference/heat.hpp). A heat
+/// tick re-derives a host's term list (one walk of the host's ascending VM
+/// vector, one UsageSignal per VM) only when its epoch moved since the last
+/// tick; every other host just replays its cached terms, in the same stored
+/// order and with the same float ops, so the result is bit-identical to the
+/// naive sample.
 ///
 /// Epoch protocol: sample() rebuilds on epoch mismatch; restamp() adopts
 /// the post-set_heat epochs without rebuilding (the EWMA write itself bumps
@@ -93,8 +88,10 @@ struct UsageReport {
 /// rebuild.
 class DemandCache {
  public:
-  /// Per-host demand breakdown at `t`, bit-identical to sample_host_usage.
-  /// The reference is invalidated by the next sample() call.
+  /// Per-host demand breakdown at `t`, indexed by HostId: each host's
+  /// demand sums its VMs' vcpus x usage(t) in ascending VmId order (the
+  /// order HostState::vms() lists them), which pins the floating-point
+  /// result. The reference is invalidated by the next sample() call.
   ///
   /// The first call arms the cluster's membership journal; from then on the
   /// term lists are patched in place from the exact place/remove/migrate
@@ -137,15 +134,19 @@ class DemandCache {
 
 /// Refresh every host's interference-heat EWMA from the instantaneous
 /// demand breakdown:  heat' = alpha * (demand / cores) + (1 - alpha) * heat,
-/// quantized into `bucket_width` buckets (sched::HostState::set_heat — the
+/// quantized into `bucket_width` buckets (VCluster::set_host_heat — the
 /// epoch, and with it the placement index, only reacts to bucket
 /// crossings). Returns the number of hosts refreshed.
 ///
-/// With a `cache`, the demand breakdown comes from DemandCache::sample —
-/// bit-identical, but only epoch-dirtied hosts re-derive their term lists —
-/// and the cache is restamped afterwards. Replay paths hand the cache over
-/// exactly when the cluster's index machinery is enabled, so the
-/// set_index_enabled hook keeps the naive sample differentially covered.
+/// The demand breakdown comes from DemandCache::sample: only hosts whose
+/// membership changed re-derive their term lists, and the cache is
+/// restamped afterwards. A replay shard passes one cache per cluster and
+/// tick after tick, which is what makes a warm tick allocation-free;
+/// nullptr samples through a call-local cache, the same result at the cost
+/// of re-deriving every host. The cache drains the cluster's membership
+/// journal, which has one reader: a cluster's ticks must all use the same
+/// cache (or all pass nullptr), or a cache would miss the deltas another
+/// one took.
 std::size_t update_cluster_heat(sched::VCluster& cluster, core::SimTime t,
                                 double alpha, double bucket_width,
                                 DemandCache* cache = nullptr);

@@ -30,17 +30,9 @@ class Trace {
   /// baseline input).
   [[nodiscard]] Trace filter_level(core::OversubLevel level) const;
 
-  /// CSV round-trip: header "id,vcpus,mem_mib,level,usage,arrival,departure".
+  /// CSV output, header "id,vcpus,mem_mib,level,usage,arrival,departure";
+  /// workload::TraceReader reads it back.
   void write_csv(std::ostream& os) const;
-
-  /// Strict parser for the write_csv format. Malformed input throws a
-  /// SlackError naming the 1-based line, the offending column, and the raw
-  /// row: rows with too few or too many columns, non-numeric or
-  /// partially-numeric fields, out-of-range levels, non-finite or negative
-  /// times, departures not after arrivals, and rows out of arrival order
-  /// (files must be sorted, as write_csv emits them) are all rejected
-  /// rather than silently skewing an experiment.
-  [[nodiscard]] static Trace read_csv(std::istream& is);
 
  private:
   std::vector<core::VmInstance> vms_;

@@ -588,7 +588,7 @@ TraceReader::ScanInfo TraceReader::scan(const std::string& path,
 
 Trace TraceReader::read_all() {
   std::vector<core::VmInstance> vms;
-  // Same sizing heuristic as Trace::read_csv (~45 bytes/row) to avoid
+  // Same sizing heuristic as the reference read_csv (~45 bytes/row) to avoid
   // growth reallocations; the input size is known for every backing.
   std::uint64_t input_bytes = 0;
   if (impl_->contiguous) {

@@ -1,9 +1,9 @@
 // Streaming trace frontend: zero-copy CSV ingestion of multi-GB traces.
 //
-// Trace::read_csv materializes the whole file through istream/getline and
+// An istream reader materializes the whole file through getline and
 // per-field std::string temporaries — fine for tests, hopeless for real
 // datacenter traces (the paper's SAP Cloud Infrastructure month is tens of
-// millions of rows). TraceReader is the production path:
+// millions of rows). TraceReader is the only trace parser shipped:
 //
 //  * input is either mmap'ed (MADV_SEQUENTIAL, with the processed prefix
 //    periodically dropped via MADV_DONTNEED) or read in fixed-size chunks
@@ -15,8 +15,8 @@
 //    an exact-fast-path double parser (mantissa < 2^53 and |exp10| <= 22
 //    resolve with a single rounding; everything else falls back to
 //    std::from_chars) — both produce bit-identical values to the
-//    stoull/stod calls in read_csv, which stays in the tree verbatim as
-//    the differential reference;
+//    stoull/stod calls of the istream parser that tests/reference/
+//    trace_csv.hpp keeps as the differential reference (read_csv);
 //  * iteration is pull-based with one row of lookahead (peek/advance), the
 //    shape sim::EventSource needs, so a replay never holds more than the
 //    active window of the trace in memory.
@@ -88,7 +88,7 @@ class TraceReader {
 
   /// Copy the next row into `out`; false once the input is exhausted.
   /// Throws SlackError (line, column, byte offset, raw row) on malformed
-  /// input, exactly where Trace::read_csv would.
+  /// input, exactly where the reference read_csv would.
   bool next(core::VmInstance& out);
 
   /// One-row lookahead: the next row without consuming it, or nullptr at

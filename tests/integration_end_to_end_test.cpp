@@ -13,6 +13,7 @@
 #include "sim/replay.hpp"
 #include "topology/builders.hpp"
 #include "workload/generator.hpp"
+#include "workload/trace_reader.hpp"
 
 namespace slackvm {
 namespace {
@@ -36,7 +37,8 @@ TEST(EndToEnd, GeneratedTraceSurvivesCsvAndReplaysIdentically) {
           .generate();
   std::stringstream buffer;
   original.write_csv(buffer);
-  const workload::Trace restored = workload::Trace::read_csv(buffer);
+  const workload::Trace restored =
+      workload::TraceReader::from_string(buffer.str()).read_all();
   ASSERT_EQ(original.size(), restored.size());
 
   sim::Datacenter dc_a =

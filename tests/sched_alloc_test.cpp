@@ -12,8 +12,9 @@
 // whose placement index keeps its feasible hosts in bitsets, and for the
 // heat-bucket index under heat churn; a failed host keeps its VM vector,
 // so failing, repairing and refilling it costs only the victim list. A
-// reset cluster replays the same churn without a single allocation, and a
-// default Rebalancer (one per replay shard) allocates nothing at all.
+// reset cluster replays the same churn without a single allocation, a
+// default Rebalancer (one per replay shard) allocates nothing at all, and
+// neither does a warm heat tick through a DemandCache.
 //
 // One level up, a whole one-shard replay of a 20k-row trace must allocate
 // a bounded number of times that does not grow with the row count: the
@@ -34,6 +35,7 @@
 #include "sim/datacenter.hpp"
 #include "sim/event_source.hpp"
 #include "sim/replay.hpp"
+#include "sim/usage_monitor.hpp"
 #include "workload/trace.hpp"
 
 namespace {
@@ -212,7 +214,7 @@ TEST(HeatIndexAllocations, WarmedHeatBucketChurnAllocatesNothing) {
       const auto host = static_cast<sched::HostId>(rng.below(cluster.opened_hosts()));
       cluster.set_host_heat(host, rng.uniform(0.0, 3.0), 0.25);
       if (write % 50 == 0) {
-        ASSERT_NE(cluster.synced_heat_index(), nullptr);
+        static_cast<void>(cluster.synced_heat_index());
         const core::VmId vm{1 + rng.below(1200)};
         cluster.remove(vm);
         ASSERT_TRUE(cluster.try_place(vm, quarter_host()));
@@ -225,6 +227,50 @@ TEST(HeatIndexAllocations, WarmedHeatBucketChurnAllocatesNothing) {
   const std::uint64_t allocations =
       g_allocations.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(allocations, 0U) << "allocations over 20000 heat writes";
+}
+
+TEST(HeatTickAllocations, WarmCachedTickWithUnchangedMembershipAllocatesNothing) {
+  // A replay shard's heat tick: update_cluster_heat through the cluster's
+  // DemandCache. With no VM arriving or leaving since the previous tick the
+  // cache patches nothing and re-derives nothing, so the tick is the demand
+  // sums, the EWMA writes and the index touches of the bucket crossings.
+  sched::VCluster cluster("tick", {32, gib(128)}, sched::make_progress_policy());
+  for (std::uint64_t vm = 1; vm <= 1200; ++vm) {
+    core::VmSpec spec = quarter_host();
+    spec.usage = static_cast<core::UsageClass>(vm % 4);
+    ASSERT_TRUE(cluster.try_place(core::VmId{vm}, spec));
+  }
+  DemandCache cache;
+  double now = 0.0;
+  // Each tick is followed by the heat index sync a polluter pass makes.
+  const auto tick = [&] {
+    now += 900.0;
+    ASSERT_EQ(update_cluster_heat(cluster, now, 0.5, 0.25, &cache), 300U);
+    static_cast<void>(cluster.synced_heat_index());
+  };
+  // Warm-up: the first tick arms the membership journal and derives every
+  // term list; later ones grow the indexes' dirty logs to their bound.
+  for (int i = 0; i < 64; ++i) {
+    tick();
+  }
+  const auto epochs = [&cluster] {
+    std::uint64_t sum = 0;
+    for (const sched::HostState& host : cluster.hosts()) {
+      sum += host.epoch();
+    }
+    return sum;
+  };
+  const std::size_t rebuilds = cache.rebuilds();
+  const std::uint64_t crossings = epochs();
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 16; ++i) {
+    tick();
+  }
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(cache.rebuilds(), rebuilds);
+  EXPECT_GT(epochs(), crossings) << "no host crossed a heat bucket";
+  EXPECT_EQ(allocations, 0U) << "allocations over 16 warm heat ticks";
 }
 
 TEST(HostAllocations, FailRepairRefillOfAWarmedHostCostsOneAllocation) {

@@ -1,11 +1,11 @@
 // HeatIndex property suite, mirroring sched_placement_index_test.cpp for
 // the quantized-heat buckets: the epoch + dirty-log protocol (refile only
 // on bucket crossings, epoch-match short-circuit, rolled-back-opening
-// drops), the ordering soundness flag, the VCluster synced_heat_index
-// wiring behind the set_index_enabled hook, a randomized churn whose
-// incrementally-synced index must match a from-scratch rebuild exactly, and
-// a heat churn whose visits must match a std::map<Bucket, std::set<HostId>>
-// reference kept here.
+// drops), visit order at the edges of the bucket table, the one heat width
+// VCluster::set_host_heat pins per cluster, the VCluster synced_heat_index
+// wiring, a randomized churn whose incrementally-synced index must match a
+// from-scratch rebuild exactly, and a heat churn whose visits must match a
+// std::map<Bucket, std::set<HostId>> reference kept here.
 #include "sched/heat_index.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/error.hpp"
 #include "core/rng.hpp"
 #include "sched/policy.hpp"
 #include "sched/vcluster.hpp"
@@ -76,7 +77,6 @@ TEST(HeatIndexProtocol, FilesHostsByBucketCoolestFirst) {
   HeatIndex index;
   index.rebuild(hosts);
   EXPECT_EQ(index.size(), 4u);
-  EXPECT_TRUE(index.ordered());
   EXPECT_TRUE(index.check(hosts).empty());
 
   EXPECT_EQ(coolest_first(index), (Filing{{0, {0}}, {1, {2}}, {2, {1, 3}}}));
@@ -141,88 +141,117 @@ TEST(HeatIndexProtocol, RolledBackOpeningsAreDropped) {
   EXPECT_TRUE(index.check(hosts).empty());
 }
 
-// --- uniform-width soundness flag -------------------------------------------
-
-TEST(HeatIndexWidth, MixedWidthsTripTheFlagStickily) {
-  std::vector<HostState> hosts = make_hosts(2);
-  hosts[0].set_heat(0.6, 0.25);
-  hosts[1].set_heat(0.6, 0.5);  // different quantization: cross-bucket
-                                // comparisons are no longer ordered
-  HeatIndex index;
-  index.rebuild(hosts);
-  EXPECT_FALSE(index.ordered());
-
-  // Sticky: re-quantizing everything with one width does not un-trip it
-  // (conservative — only a rebuild re-evaluates).
-  hosts[0].set_heat(0.7, 0.25);
-  hosts[1].set_heat(0.7, 0.25);
-  index.touch(0);
-  index.touch(1);
-  index.sync(hosts);
-  EXPECT_FALSE(index.ordered());
-
-  index.rebuild(hosts);
-  EXPECT_TRUE(index.ordered());
-}
-
-TEST(HeatIndexWidth, UnquantizedNonzeroHeatTripsTheFlag) {
-  std::vector<HostState> hosts = make_hosts(1);
-  hosts[0].set_heat(0.6, 0.0);  // quantization disabled: bucket pinned at 0
-  HeatIndex index;
-  index.rebuild(hosts);
-  EXPECT_FALSE(index.ordered());
-}
+// --- visit order at the edges of the bucket table ---------------------------
 
 TEST(HeatIndexWidth, ColdHostsAreConsistentWithAnyWidth) {
+  // Hosts never heated (width 0, heat 0, bucket 0) are the coolest under
+  // whatever width the heated ones use.
   std::vector<HostState> hosts = make_hosts(3);
-  hosts[1].set_heat(0.6, 0.25);  // the only heated host sets the width
+  hosts[1].set_heat(0.6, 0.25);
   HeatIndex index;
   index.rebuild(hosts);
-  EXPECT_TRUE(index.ordered());
+  EXPECT_EQ(coolest_first(index), (Filing{{0, {0, 2}}, {2, {1}}}));
 }
 
-TEST(HeatIndexWidth, BucketsPastTheTableVoidTheOrder) {
-  std::vector<HostState> hosts = make_hosts(3);
-  hosts[0].set_heat(0.5, 0.25);
-  hosts[1].set_heat(0.25 * (HeatIndex::kMaxBuckets - 1), 0.25);  // last slot
+TEST(HeatIndexWidth, BucketsPastTheTableFoldIntoTheLastSlotInHeatOrder) {
+  // Buckets kMaxBuckets - 1 and up share the table's last slot. It holds
+  // only heats >= (kMaxBuckets - 1) * w, so it is still the hottest slot
+  // and visit order stays monotone in heat; inside it the planner compares
+  // raw heats.
+  constexpr double kWidth = 0.25;
+  constexpr HeatIndex::Bucket kLast = HeatIndex::kMaxBuckets - 1;
+  std::vector<HostState> hosts = make_hosts(4);
+  hosts[0].set_heat(0.5, kWidth);
+  hosts[1].set_heat(kWidth * kLast, kWidth);        // the last slot itself
+  hosts[2].set_heat(kWidth * (kLast + 8), kWidth);  // past the table
+  hosts[3].set_heat(kWidth * (kLast - 1), kWidth);  // the slot below it
+  ASSERT_GT(hosts[2].heat_bucket(), kLast);
   HeatIndex index;
   index.rebuild(hosts);
-  EXPECT_TRUE(index.ordered());
+  EXPECT_EQ(index.size(), 4u);
+  EXPECT_TRUE(index.check(hosts).empty());
+  EXPECT_EQ(coolest_first(index),
+            (Filing{{2, {0}}, {kLast - 1, {3}}, {kLast, {1, 2}}}));
+  EXPECT_EQ(visited(index, HeatIndex::Order::kHottestFirst),
+            (Filing{{kLast, {1, 2}}, {kLast - 1, {3}}, {2, {0}}}));
 
-  // Buckets kMaxBuckets and up share the table's last slot: still filed
-  // exactly once, but the visit no longer orders them.
-  hosts[2].set_heat(0.25 * (HeatIndex::kMaxBuckets + 7), 0.25);
+  // A host leaving the folded slot is refiled by its crossing like any other.
+  hosts[2].set_heat(0.1, kWidth);
   index.touch(2);
   index.sync(hosts);
-  EXPECT_FALSE(index.ordered());
-  EXPECT_EQ(index.size(), 3u);
   EXPECT_TRUE(index.check(hosts).empty());
+  EXPECT_EQ(visited(index, HeatIndex::Order::kHottestFirst),
+            (Filing{{kLast, {1}}, {kLast - 1, {3}}, {2, {0}}, {0, {2}}}));
 }
 
-// --- VCluster wiring behind the escape hatch --------------------------------
+// --- one heat width per cluster ---------------------------------------------
 
-TEST(HeatIndexCluster, SyncedIndexTracksHeatWritesAndHonoursTheHatch) {
+TEST(VClusterHeatWidth, NonPositiveWidthIsRejected) {
+  VCluster cluster("width", kWorker, make_progress_policy());
+  ASSERT_TRUE(cluster.try_place(VmId{1}, make_spec(8, gib(16), 2)));
+  EXPECT_THROW(cluster.set_host_heat(0, 0.6, 0.0), core::SlackError);
+  EXPECT_THROW(cluster.set_host_heat(0, 0.6, -0.25), core::SlackError);
+  // A refused write changes nothing and pins nothing.
+  EXPECT_EQ(cluster.host_heat(0), 0.0);
+  cluster.set_host_heat(0, 0.6, 0.5);
+  EXPECT_EQ(cluster.hosts()[0].heat_bucket(), 1u);
+}
+
+TEST(VClusterHeatWidth, SecondWidthIsRejected) {
+  VCluster cluster("width", kWorker, make_progress_policy());
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(cluster.try_place(VmId{static_cast<std::uint64_t>(i + 1)},
+                                  make_spec(8, gib(16), 1)));
+  }
+  ASSERT_EQ(cluster.opened_hosts(), 2u);
+  cluster.set_host_heat(0, 0.6, 0.25);
+  EXPECT_THROW(cluster.set_host_heat(1, 0.6, 0.5), core::SlackError);
+  EXPECT_EQ(cluster.host_heat(1), 0.0);
+  cluster.set_host_heat(1, 0.7, 0.25);  // the pinned width is still fine
+  EXPECT_EQ(cluster.synced_heat_index().size(), cluster.opened_hosts());
+  EXPECT_TRUE(cluster.synced_heat_index().check(cluster.hosts()).empty());
+}
+
+TEST(VClusterHeatWidth, ResetClearsThePinnedWidth) {
+  VCluster cluster("width", kWorker, make_progress_policy());
+  ASSERT_TRUE(cluster.try_place(VmId{1}, make_spec(8, gib(16), 2)));
+  cluster.set_host_heat(0, 0.6, 0.25);
+  cluster.reset();
+  ASSERT_TRUE(cluster.try_place(VmId{1}, make_spec(8, gib(16), 2)));
+  cluster.set_host_heat(0, 0.6, 0.5);  // a new run may pick a new width
+  EXPECT_EQ(cluster.hosts()[0].heat_bucket(), 1u);
+  EXPECT_THROW(cluster.set_host_heat(0, 0.6, 0.25), core::SlackError);
+}
+
+// --- VCluster wiring --------------------------------------------------------
+
+TEST(HeatIndexCluster, SyncedIndexTracksHeatWritesWhateverThePlacementHatch) {
   VCluster cluster("itf", kWorker, make_progress_policy());
   for (int i = 0; i < 12; ++i) {
     ASSERT_TRUE(cluster.try_place(VmId{static_cast<std::uint64_t>(i + 1)},
                                   make_spec(8, gib(16), 2)));
   }
-  const HeatIndex* index = cluster.synced_heat_index();
-  ASSERT_NE(index, nullptr);
-  EXPECT_EQ(index->size(), cluster.opened_hosts());
-  EXPECT_TRUE(index->check(cluster.hosts()).empty());
+  EXPECT_EQ(cluster.synced_heat_index().size(), cluster.opened_hosts());
+  EXPECT_TRUE(cluster.synced_heat_index().check(cluster.hosts()).empty());
 
   for (HostId h = 0; h < cluster.opened_hosts(); ++h) {
     cluster.set_host_heat(h, 0.3 * static_cast<double>(h + 1), 0.25);
   }
-  index = cluster.synced_heat_index();
-  ASSERT_NE(index, nullptr);
-  EXPECT_TRUE(index->check(cluster.hosts()).empty());
-  EXPECT_TRUE(index->ordered());
+  EXPECT_TRUE(cluster.synced_heat_index().check(cluster.hosts()).empty());
 
-  // set_index_enabled(false): the planner must fall back to the naive scan.
+  // set_index_enabled chooses the placement path only: the heat index keeps
+  // serving, and keeps hearing heat writes, with the placement index off.
   cluster.set_index_enabled(false);
-  EXPECT_EQ(cluster.synced_heat_index(), nullptr);
+  for (HostId h = 0; h < cluster.opened_hosts(); ++h) {
+    cluster.set_host_heat(h, 3.0 - 0.2 * static_cast<double>(h), 0.25);
+  }
+  ASSERT_TRUE(cluster.try_place(VmId{99}, make_spec(8, gib(16), 2)));
+  const HeatIndex& index = cluster.synced_heat_index();
+  EXPECT_EQ(index.size(), cluster.opened_hosts());
+  EXPECT_TRUE(index.check(cluster.hosts()).empty());
+  HeatIndex fresh;
+  fresh.rebuild(cluster.hosts());
+  EXPECT_EQ(coolest_first(index), coolest_first(fresh));
 }
 
 // --- randomized churn: synced index == from-scratch rebuild -----------------
@@ -265,19 +294,15 @@ TEST(HeatIndexChurn, RandomizedChurnMatchesFreshRebuild) {
       cluster.set_host_heat(host, rng.uniform(0.0, 3.0), 0.25);
     }
     if (event % 500 == 0) {
-      const HeatIndex* synced = cluster.synced_heat_index();
-      ASSERT_NE(synced, nullptr);
-      EXPECT_TRUE(synced->check(cluster.hosts()).empty()) << "event " << event;
+      const HeatIndex& synced = cluster.synced_heat_index();
+      EXPECT_TRUE(synced.check(cluster.hosts()).empty()) << "event " << event;
       HeatIndex fresh;
       fresh.rebuild(cluster.hosts());
-      EXPECT_EQ(coolest_first(*synced), coolest_first(fresh)) << "event " << event;
+      EXPECT_EQ(coolest_first(synced), coolest_first(fresh)) << "event " << event;
       EXPECT_TRUE(sim::audit(cluster).empty()) << "event " << event;
     }
   }
-  const HeatIndex* synced = cluster.synced_heat_index();
-  ASSERT_NE(synced, nullptr);
-  EXPECT_TRUE(synced->ordered());
-  EXPECT_TRUE(synced->check(cluster.hosts()).empty());
+  EXPECT_TRUE(cluster.synced_heat_index().check(cluster.hosts()).empty());
 }
 
 // --- visit order vs a node-based reference --------------------------------
@@ -338,7 +363,6 @@ TEST(HeatIndexChurn, VisitOrderMatchesMapReferenceUnderHeatChurn) {
               Filing(cool.rbegin(), cool.rend()))
         << "round " << round;
   }
-  EXPECT_TRUE(index.ordered());
 
   // A visitor returning false stops after the bucket it is given.
   std::size_t seen = 0;

@@ -32,6 +32,13 @@ core::VmInstance make_vm(std::uint64_t id, core::VcpuCount vcpus, core::MemMib m
   return vm;
 }
 
+/// One cold DemandCache sample: the per-host breakdown a first heat tick
+/// reads.
+std::vector<HostUsage> host_usage(sched::VCluster& cluster, core::SimTime t) {
+  DemandCache cache;
+  return cache.sample(cluster, t);
+}
+
 TEST(UsageSampleTest, EmptyDatacenter) {
   Datacenter dc = Datacenter::shared({32, gib(128)}, sched::make_progress_policy);
   const UsageSample sample = sample_usage(dc, 100.0);
@@ -106,9 +113,9 @@ TEST(UsageMonitorTest, InvalidIntervalRejected) {
 
 TEST(HostUsageTest, EmptyAndIdleHostsSampleToZeroDemand) {
   Datacenter dc = Datacenter::shared({32, gib(128)}, sched::make_progress_policy);
-  EXPECT_TRUE(sample_host_usage(*dc.clusters()[0], 100.0).empty());
+  EXPECT_TRUE(host_usage(dc.cluster(0), 100.0).empty());
   dc.deploy(core::VmId{1}, make_vm(1, 4, gib(8), 1, core::UsageClass::kIdle).spec);
-  const auto usage = sample_host_usage(*dc.clusters()[0], 100.0);
+  const auto usage = host_usage(dc.cluster(0), 100.0);
   ASSERT_EQ(usage.size(), 1U);
   EXPECT_EQ(usage[0].capacity_cores, 32U);
   EXPECT_LT(usage[0].demand_cores, 0.2);  // idle: 4 vcpus x ~0.01-0.04
@@ -123,7 +130,7 @@ TEST(HostUsageTest, BreakdownSumsToTheClusterSample) {
   }
   const core::SimTime t = 1234.0;
   const UsageSample sample = sample_usage(dc, t);
-  const auto usage = sample_host_usage(*dc.clusters()[0], t);
+  const auto usage = host_usage(dc.cluster(0), t);
   ASSERT_EQ(sample.host_q.size(), usage.size());
   double total = 0.0;
   for (std::size_t h = 0; h < usage.size(); ++h) {
@@ -160,7 +167,7 @@ TEST(UsageSampleTest, SumsEachHostInAscendingVmIdOrderBitExactly) {
     dc.remove(core::VmId{id});
     live.erase(id);
   }
-  const sched::VCluster& cluster = *dc.clusters()[0];
+  sched::VCluster& cluster = dc.cluster(0);
   const core::SimTime t = 4321.0;
   std::vector<double> demand(cluster.opened_hosts(), 0.0);
   for (const auto& [id, spec] : live) {  // std::map: ascending ids
@@ -176,7 +183,7 @@ TEST(UsageSampleTest, SumsEachHostInAscendingVmIdOrderBitExactly) {
     total += demand[h];
   }
   EXPECT_EQ(sample.demand_cores, total);
-  const auto usage = sample_host_usage(cluster, t);
+  const auto usage = host_usage(cluster, t);
   for (std::size_t h = 0; h < demand.size(); ++h) {
     EXPECT_EQ(usage[h].demand_cores, demand[h]) << h;
   }

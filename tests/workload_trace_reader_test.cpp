@@ -1,5 +1,5 @@
 // Streaming trace frontend differential suite: workload::TraceReader must
-// accept exactly what Trace::read_csv accepts, reject exactly what it
+// accept exactly what reference::read_csv accepts, reject exactly what it
 // rejects, and produce bit-identical VmInstances — across the contiguous
 // (from_string), chunked (tiny buffers forcing partial-line carries) and
 // mmap backings. Also pins the real-format level classifier, the
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "reference/trace_csv.hpp"
 #include "workload/catalog.hpp"
 #include "workload/generator.hpp"
 #include "workload/level_mix.hpp"
@@ -83,7 +84,7 @@ TEST(TraceReader, NativeMatchesReadCsvBitExact) {
   const std::string text = os.str();
 
   std::istringstream is(text);
-  const Trace reference = Trace::read_csv(is);
+  const Trace reference = reference::read_csv(is);
   Trace streamed = TraceReader::from_string(text).read_all();
   expect_same_rows(reference, streamed);
 }
@@ -99,7 +100,7 @@ TEST(TraceReader, FastWriterRoundTripsTimestampsExactly) {
   expect_same_rows(trace, streamed);
 
   std::istringstream is(text);
-  const Trace reference = Trace::read_csv(is);
+  const Trace reference = reference::read_csv(is);
   expect_same_rows(reference, streamed);
 }
 
@@ -202,7 +203,7 @@ TEST(TraceReader, ExplicitFormatSkipsHeaderUnvalidated) {
 
 TEST(TraceReader, EmptyInputThrowsLikeReadCsv) {
   std::istringstream empty("");
-  EXPECT_THROW((void)Trace::read_csv(empty), core::SlackError);
+  EXPECT_THROW((void)reference::read_csv(empty), core::SlackError);
   EXPECT_THROW((void)TraceReader::from_string("").read_all(), core::SlackError);
 }
 
@@ -278,7 +279,7 @@ TEST(TraceReader, RejectsEverythingReadCsvRejects) {
     SCOPED_TRACE(row);
     const std::string text = std::string(kNativeHeader) + "\n" + row + "\n";
     std::istringstream is(text);
-    EXPECT_THROW((void)Trace::read_csv(is), core::SlackError);
+    EXPECT_THROW((void)reference::read_csv(is), core::SlackError);
     EXPECT_THROW((void)TraceReader::from_string(text).read_all(),
                  core::SlackError);
   }
@@ -287,7 +288,7 @@ TEST(TraceReader, RejectsEverythingReadCsvRejects) {
   const std::string unsorted = std::string(kNativeHeader) +
                                "\n1,1,1024,2,steady,10,20\n2,1,1024,2,steady,5,9\n";
   std::istringstream is(unsorted);
-  EXPECT_THROW((void)Trace::read_csv(is), core::SlackError);
+  EXPECT_THROW((void)reference::read_csv(is), core::SlackError);
   EXPECT_THROW((void)TraceReader::from_string(unsorted).read_all(),
                core::SlackError);
 }

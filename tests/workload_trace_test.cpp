@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "reference/trace_csv.hpp"
 
 namespace slackvm::workload {
 namespace {
@@ -72,7 +73,7 @@ TEST(TraceTest, CsvRoundTrip) {
 
   std::stringstream buffer;
   original.write_csv(buffer);
-  const Trace restored = Trace::read_csv(buffer);
+  const Trace restored = reference::read_csv(buffer);
 
   ASSERT_EQ(restored.size(), 2U);
   const core::VmInstance& r = restored.vms()[1];  // sorted by arrival
@@ -95,18 +96,18 @@ TEST(TraceTest, CsvHeaderWritten) {
 
 TEST(TraceTest, ReadCsvRejectsEmptyInput) {
   std::stringstream buffer;
-  EXPECT_THROW((void)Trace::read_csv(buffer), core::SlackError);
+  EXPECT_THROW((void)reference::read_csv(buffer), core::SlackError);
 }
 
 TEST(TraceTest, ReadCsvRejectsTruncatedRow) {
   std::stringstream buffer("id,vcpus,mem_mib,level,usage,arrival,departure\n1,2,4096\n");
-  EXPECT_THROW((void)Trace::read_csv(buffer), core::SlackError);
+  EXPECT_THROW((void)reference::read_csv(buffer), core::SlackError);
 }
 
 TEST(TraceTest, ReadCsvRejectsUnknownUsage) {
   std::stringstream buffer(
       "id,vcpus,mem_mib,level,usage,arrival,departure\n1,2,4096,1,gaming,0,10\n");
-  EXPECT_THROW((void)Trace::read_csv(buffer), core::SlackError);
+  EXPECT_THROW((void)reference::read_csv(buffer), core::SlackError);
 }
 
 // --- malformed-row hardening regressions -----------------------------------
@@ -119,7 +120,7 @@ void expect_rejected(const std::string& row,
                      const std::vector<std::string>& fragments) {
   std::stringstream buffer(kHeader + row + "\n");
   try {
-    (void)Trace::read_csv(buffer);
+    (void)reference::read_csv(buffer);
     FAIL() << "row accepted: " << row;
   } catch (const core::SlackError& e) {
     const std::string message = e.what();
@@ -176,7 +177,7 @@ TEST(TraceTest, ReadCsvRejectsUnsortedArrivals) {
                            "1,2,4096,1,steady,50,60\n"
                            "2,2,4096,1,steady,10,20\n");
   try {
-    (void)Trace::read_csv(buffer);
+    (void)reference::read_csv(buffer);
     FAIL() << "unsorted trace accepted";
   } catch (const core::SlackError& e) {
     const std::string message = e.what();
@@ -191,7 +192,7 @@ TEST(TraceTest, ReadCsvReportsLineNumberOfBadRow) {
                            "\n"
                            "2,2,4096,1,steady,1,oops\n");
   try {
-    (void)Trace::read_csv(buffer);
+    (void)reference::read_csv(buffer);
     FAIL() << "bad row accepted";
   } catch (const core::SlackError& e) {
     // Blank lines still count toward line numbers.
@@ -205,7 +206,7 @@ TEST(TraceTest, ReadCsvStillAcceptsBlankLinesAndSortedInput) {
                            "\n"
                            "2,4,8192,3,bursty,0,5.5\n"
                            "3,1,1024,16,idle,7,8\n");
-  const Trace trace = Trace::read_csv(buffer);
+  const Trace trace = reference::read_csv(buffer);
   ASSERT_EQ(trace.size(), 3U);
   EXPECT_EQ(trace.vms()[2].spec.level, core::OversubLevel{16});
 }

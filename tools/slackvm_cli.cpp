@@ -162,8 +162,7 @@ int cmd_generate(const Args& args) {
 }
 
 int cmd_analyze(const Args& args) {
-  // TraceReader instead of Trace::read_csv: same strict validation,
-  // several times the parse throughput, and it understands the 5-column
+  // TraceReader: strict validation, and it understands the 5-column
   // real-provider format as well as the native one.
   const workload::Trace trace = workload::TraceReader(trace_path(args)).read_all();
   const workload::TraceStats stats = workload::analyze(trace);
