@@ -28,22 +28,22 @@ const char* to_string(HostPhase phase) noexcept {
   return "?";
 }
 
-HostState::HostState(HostId id, core::Resources config, double mem_oversub) : id_(id) {
-  SLACKVM_ASSERT(config.cores > 0 && config.mem_mib > 0);
-  SLACKVM_ASSERT(mem_oversub >= 1.0);
-  load_.config = config;
-  load_.mem_capacity =
-      static_cast<core::MemMib>(static_cast<double>(config.mem_mib) * mem_oversub);
+HostState::HostState(HostId id, core::Resources config, double mem_oversub,
+                     std::pmr::memory_resource* pool)
+    : vms_(pool), reservations_(pool) {
+  revive(id, config, mem_oversub);
 }
 
 void HostState::revive(HostId id, core::Resources config, double mem_oversub) {
-  std::vector<HostedVm> vms = std::move(vms_);
-  std::unordered_map<core::VmId, core::VmSpec> reservations = std::move(reservations_);
-  *this = HostState(id, config, mem_oversub);
-  vms.clear();
-  reservations.clear();
-  vms_ = std::move(vms);
-  reservations_ = std::move(reservations);
+  SLACKVM_ASSERT(config.cores > 0 && config.mem_mib > 0);
+  SLACKVM_ASSERT(mem_oversub >= 1.0);
+  id_ = id;
+  load_ = HostLoad{};
+  load_.config = config;
+  load_.mem_capacity =
+      static_cast<core::MemMib>(static_cast<double>(config.mem_mib) * mem_oversub);
+  vms_.clear();
+  reservations_.clear();
 }
 
 void HostState::add(core::VmId id, const core::VmSpec& spec) {

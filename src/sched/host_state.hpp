@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <memory_resource>
 #include <span>
 #include <type_traits>
 #include <unordered_map>
@@ -152,13 +153,17 @@ class HostState {
  public:
   /// `mem_oversub` >= 1 enables limited memory oversubscription (paper
   /// footnote 2: OpenStack defaults to 16:1 CPU and 1.5:1 DRAM): committed
-  /// memory may reach config.mem_mib * mem_oversub.
-  HostState(HostId id, core::Resources config, double mem_oversub = 1.0);
+  /// memory may reach config.mem_mib * mem_oversub. The VM vector and the
+  /// reservation map draw from `pool`, which must outlive the host (a
+  /// VCluster passes its own; see VCluster::pool_). A copy draws from the
+  /// default resource.
+  HostState(HostId id, core::Resources config, double mem_oversub = 1.0,
+            std::pmr::memory_resource* pool = std::pmr::get_default_resource());
 
   /// Turn a parked host into a freshly opened one (VCluster::reset parks
   /// its hosts): every field is as the constructor leaves it, epoch 0
   /// included, but the VM vector and the reservation map keep their
-  /// storage, so refilling the host allocates nothing.
+  /// storage and their pool, so refilling the host allocates nothing.
   void revive(HostId id, core::Resources config, double mem_oversub);
 
   [[nodiscard]] HostId id() const noexcept { return id_; }
@@ -252,7 +257,7 @@ class HostState {
   }
 
   /// All in-flight reservations (unordered).
-  [[nodiscard]] const std::unordered_map<core::VmId, core::VmSpec>& reservations()
+  [[nodiscard]] const std::pmr::unordered_map<core::VmId, core::VmSpec>& reservations()
       const noexcept {
     return reservations_;
   }
@@ -282,9 +287,12 @@ class HostState {
   /// Hosted VMs sorted by VmId. Trace ids usually grow with arrival time,
   /// so an add is almost always an append; a PM holds tens of VMs, so a
   /// mid-vector insert or erase shifts a few cache lines at most.
-  std::vector<HostedVm> vms_;
+  std::pmr::vector<HostedVm> vms_;
   /// In-flight migration reservations; booked in load_ but not in vms_.
-  std::unordered_map<core::VmId, core::VmSpec> reservations_;
+  std::pmr::unordered_map<core::VmId, core::VmSpec> reservations_;
 };
+// A host vector that copied on growth would move its hosts' lists to the
+// default resource.
+static_assert(std::is_nothrow_move_constructible_v<HostState>);
 
 }  // namespace slackvm::sched

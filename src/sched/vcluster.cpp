@@ -1,6 +1,7 @@
 #include "sched/vcluster.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "core/error.hpp"
 
@@ -13,11 +14,22 @@ VCluster::VCluster(std::string name, core::Resources host_config,
 
 VCluster::VCluster(std::string name, FleetSpec fleet,
                    std::unique_ptr<PlacementPolicy> policy, double mem_oversub)
-    : name_(std::move(name)),
+    : pool_(std::make_unique<core::ListPool>()),
+      name_(std::move(name)),
       fleet_(std::move(fleet)),
       mem_oversub_(mem_oversub),
       policy_(std::move(policy)) {
   SLACKVM_ASSERT(policy_ != nullptr);
+}
+
+VCluster& VCluster::operator=(VCluster&& other) noexcept {
+  if (this != &other) {
+    // Tear this cluster down in destructor order (hosts before the pool
+    // they draw from), then take over `other` whole, pool included.
+    std::destroy_at(this);
+    std::construct_at(this, std::move(other));
+  }
+  return *this;
 }
 
 HostId VCluster::place(core::VmId id, const core::VmSpec& spec) {
@@ -69,7 +81,7 @@ void VCluster::reset() {
 HostState& VCluster::open_host() {
   const auto id = static_cast<HostId>(hosts_.size());
   if (parked_.empty()) {
-    hosts_.emplace_back(id, fleet_.config_for(id), mem_oversub_);
+    hosts_.emplace_back(id, fleet_.config_for(id), mem_oversub_, pool_->resource());
   } else {
     hosts_.push_back(std::move(parked_.back()));
     parked_.pop_back();

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/list_pool.hpp"
 #include "sched/filter.hpp"
 #include "sched/fleet.hpp"
 #include "sched/heat_index.hpp"
@@ -44,6 +45,12 @@ class VCluster {
   /// Heterogeneous fleet: the i-th opened PM follows the fleet's cycle.
   VCluster(std::string name, FleetSpec fleet, std::unique_ptr<PlacementPolicy> policy,
            double mem_oversub = 1.0);
+
+  VCluster(VCluster&&) noexcept = default;
+  /// Not memberwise: that would replace pool_ while the hosts being
+  /// replaced still hold its memory (see pool_).
+  VCluster& operator=(VCluster&& other) noexcept;
+  ~VCluster() = default;
 
   /// Install an additional hard-constraint filter applied to every
   /// placement (paper §II-B). Pass nullptr to clear. The incremental index
@@ -328,6 +335,12 @@ class VCluster {
     membership_log_.push_back(MembershipDelta{op, host, vm, spec});
   }
 
+  /// The pool every host's VM vector and reservation map draw from
+  /// (core::ListPool). One per cluster: a replay shard mutates only its own
+  /// clusters, so the pool needs no lock. Held by pointer, so its address
+  /// survives moves of the cluster; declared before hosts_ and parked_, so
+  /// it is destroyed after them.
+  std::unique_ptr<core::ListPool> pool_;
   std::string name_;
   FleetSpec fleet_;
   double mem_oversub_ = 1.0;

@@ -65,6 +65,21 @@ void EventQueue::run_until(core::SimTime deadline) {
   now_ = deadline;
 }
 
+void EventQueue::reset() noexcept {
+  for (const Key& key : heap_) {
+    slot(key.slot).reset();
+  }
+  heap_.clear();
+  // Every slot is empty again: hand them out from slot 0, as a new queue
+  // would, rather than through the free list.
+  free_.clear();
+  fresh_ = 0;
+  now_ = 0;
+  next_seq_ = 0;
+  fired_.store(0, std::memory_order_relaxed);
+  now_bits_.store(0, std::memory_order_relaxed);
+}
+
 std::uint32_t EventQueue::acquire_slot() {
   if (!free_.empty()) {
     const std::uint32_t s = free_.back();

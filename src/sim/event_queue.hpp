@@ -226,6 +226,13 @@ class EventQueue {
   /// clock to `deadline`.
   void run_until(core::SimTime deadline);
 
+  /// Return to the state of a new queue (no events, clock and counters at
+  /// 0) while keeping its storage: the slab chunks, the heap and the free
+  /// list keep their capacity, so a reused queue schedules without
+  /// allocating up to the high-water mark it reached before. Pending
+  /// actions are destroyed unfired. Not to be called from inside an action.
+  void reset() noexcept;
+
   [[nodiscard]] core::SimTime now() const noexcept { return now_; }
   [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
@@ -283,7 +290,7 @@ class EventQueue {
   core::SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   // The atomics make EventQueue immovable; every owner holds it in place
-  // (replay locals, heap-allocated shard states).
+  // (replay locals, the shard states' vector, sweep workspaces).
   std::atomic<std::uint64_t> fired_{0};
   std::atomic<std::uint64_t> now_bits_{0};
 };

@@ -33,6 +33,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -73,29 +74,34 @@ class EventSource {
   [[nodiscard]] virtual std::optional<core::SimTime> horizon_hint() const = 0;
 };
 
-/// EventSource over an already-materialized Trace (not owned; must outlive
-/// the source). Exact hints.
+/// EventSource over an already-materialized Trace, or over rows laid out
+/// as a Trace holds them: sorted by arrival, each departing after it
+/// arrives (Generator::generate_into writes them so). Not owned; they must
+/// outlive the source. Exact hints.
 class MaterializedSource final : public EventSource {
  public:
   explicit MaterializedSource(const workload::Trace& trace)
-      : trace_(&trace), horizon_(trace.horizon()) {}
+      : MaterializedSource(std::span<const core::VmInstance>(trace.vms())) {}
+
+  explicit MaterializedSource(std::span<const core::VmInstance> rows)
+      : rows_(rows), horizon_(workload::horizon(rows)) {}
 
   [[nodiscard]] const core::VmInstance* peek() override {
-    return pos_ < trace_->size() ? &trace_->vms()[pos_] : nullptr;
+    return pos_ < rows_.size() ? &rows_[pos_] : nullptr;
   }
   void advance() override {
-    SLACKVM_ASSERT(pos_ < trace_->size());
+    SLACKVM_ASSERT(pos_ < rows_.size());
     ++pos_;
   }
   [[nodiscard]] std::optional<std::size_t> size_hint() const override {
-    return trace_->size();
+    return rows_.size();
   }
   [[nodiscard]] std::optional<core::SimTime> horizon_hint() const override {
     return horizon_;
   }
 
  private:
-  const workload::Trace* trace_;
+  std::span<const core::VmInstance> rows_;
   core::SimTime horizon_;
   std::size_t pos_ = 0;
 };

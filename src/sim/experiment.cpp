@@ -8,6 +8,7 @@
 #include "core/error.hpp"
 #include "core/oversub.hpp"
 #include "sched/policy.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/event_source.hpp"
 #include "sim/parallel.hpp"
 #include "sim/replay.hpp"
@@ -33,10 +34,13 @@ std::size_t effective_repetitions(const ExperimentConfig& config) {
   return config.repetitions == 0 ? 1 : config.repetitions;
 }
 
-/// The datacenters one thread replays its cells on, for the length of one
-/// compare_packing or run_distribution_sweep call. A datacenter is reset
-/// (Datacenter::reset) for each cell it serves, so a cell regrows none of
-/// its containers, and a reset datacenter replays exactly like a new one.
+/// The datacenters, the event queue and the trace rows one thread replays
+/// its cells with, for the length of one compare_packing or
+/// run_distribution_sweep call. A datacenter is reset (Datacenter::reset)
+/// for each cell it serves, every replay runs on the one queue
+/// (ShardOptions::queue), and each generated trace is written over the
+/// last one's rows, so a cell regrows none of its containers; a reset
+/// datacenter and a reset queue replay exactly like new ones.
 /// Every cell of a call shares one config, so one shared datacenter serves
 /// them all. The dedicated one must match the cell's level set; it is
 /// built again when the set changes. Cells reach a thread in blocks of
@@ -65,6 +69,9 @@ class CellWorkspace {
     });
   }
 
+  EventQueue& queue() noexcept { return queue_; }
+  std::vector<core::VmInstance>& rows() noexcept { return rows_; }
+
  private:
   template <class Build>
   static Datacenter& reuse(std::optional<Datacenter>& dc, const ExperimentConfig& config,
@@ -81,6 +88,8 @@ class CellWorkspace {
   std::optional<Datacenter> shared_;
   std::optional<Datacenter> dedicated_;
   std::vector<core::OversubLevel> dedicated_levels_;
+  EventQueue queue_;
+  std::vector<core::VmInstance> rows_;
 };
 
 /// One (distribution, repetition) cell of the experiment grid: a freshly
@@ -104,20 +113,12 @@ CellResult run_cell(CellWorkspace& workspace, const workload::Catalog& catalog,
   // The streamed trace is the same for every repetition; only the fault
   // timetable (seeded per repetition below) varies across reps then.
   const bool streamed = !config.trace_path.empty();
-  workload::Trace trace;
   std::optional<workload::TraceReader::ScanInfo> scan;
   if (streamed) {
     scan = workload::TraceReader::scan(config.trace_path);
   } else {
-    trace = workload::Generator(catalog, mix, gen_cfg).generate();
+    workload::Generator(catalog, mix, gen_cfg).generate_into(workspace.rows());
   }
-  const auto open_source = [&]() -> std::unique_ptr<EventSource> {
-    if (streamed) {
-      return std::make_unique<StreamingTraceSource>(
-          workload::TraceReader(config.trace_path), scan);
-    }
-    return std::make_unique<MaterializedSource>(trace);
-  };
   // Dedicated baseline clusters: for a generated workload the mix dictates
   // the levels; a real trace's levels emerge row-by-row from the
   // classifier, so cover all three paper levels (absent ones just stay
@@ -162,23 +163,25 @@ CellResult run_cell(CellWorkspace& workspace, const workload::Catalog& catalog,
   shard_options.shards = shards;
   shard_options.rebalance = rebalance;
   shard_options.faults = fault_ptr;
+  shard_options.queue = &workspace.queue();
+  // Each replay reads the workload from the start through a source of its
+  // own, on the stack.
+  const auto replay_on = [&](Datacenter& dc) {
+    if (streamed) {
+      StreamingTraceSource source(workload::TraceReader(config.trace_path), scan);
+      return replay_sharded(dc, source, shard_options);
+    }
+    MaterializedSource source(workspace.rows());
+    return replay_sharded(dc, source, shard_options);
+  };
 
   CellResult cell;
   // Baseline: dedicated First-Fit clusters.
-  Datacenter& baseline = workspace.dedicated(config, levels);
-  {
-    const std::unique_ptr<EventSource> source = open_source();
-    cell.baseline = replay_sharded(baseline, *source, shard_options);
-  }
-
+  cell.baseline = replay_on(workspace.dedicated(config, levels));
   // SlackVM: one shared cluster per shard (exactly shared() at one shard),
   // Algorithm-2 progress scoring (heat-aware when the interference loop is
   // armed).
-  Datacenter& slackvm = workspace.shared(config, shared_policy, shards);
-  {
-    const std::unique_ptr<EventSource> source = open_source();
-    cell.slackvm = replay_sharded(slackvm, *source, shard_options);
-  }
+  cell.slackvm = replay_on(workspace.shared(config, shared_policy, shards));
   return cell;
 }
 

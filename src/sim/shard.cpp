@@ -29,7 +29,9 @@ class SampleMerger;
 /// references.
 struct ShardState {
   std::vector<std::size_t> clusters;  ///< owned cluster indices, ascending
-  EventQueue queue;
+  EventQueue own_queue;
+  /// The queue the shard runs on: own_queue, or the one ShardOptions lends.
+  EventQueue* queue = &own_queue;
   RunResult partial;              ///< integer counters only (summed at the end)
   std::vector<ShardSample> log;   ///< observations, drained at each barrier
   /// One shard: observations skip the log and stream straight into the
@@ -210,6 +212,10 @@ RunResult replay_sharded(Datacenter& dc, EventSource& source,
 
   // Deal clusters round-robin: shard k owns {c : c % shards == k}.
   std::vector<ShardState> shards(shard_count);
+  if (options.queue != nullptr) {
+    options.queue->reset();
+    shards[0].queue = options.queue;
+  }
   for (std::size_t k = 0; k < shard_count; ++k) {
     ShardState& shard = shards[k];
     shard.clusters.reserve(dc.clusters().size() / shard_count + 1);
@@ -246,14 +252,14 @@ RunResult replay_sharded(Datacenter& dc, EventSource& source,
       }
     };
     if (faulty) {
-      shard.injector.emplace(dc, shard.queue, *options.faults, shard.partial,
+      shard.injector.emplace(dc, *shard.queue, *options.faults, shard.partial,
                              shard.observe, ShardScope{k, shard_count});
     }
     if (options.rebalance && options.rebalance->migration.enabled) {
       // One engine per shard, scoped like the injector: all flight state is
       // per-cluster, so the union of the shard engines evolves exactly like
       // a single engine over the whole datacenter.
-      shard.engine.emplace(dc, shard.queue, options.rebalance->migration,
+      shard.engine.emplace(dc, *shard.queue, options.rebalance->migration,
                            shard.partial, shard.observe, ShardScope{k, shard_count});
       if (shard.injector.has_value()) {
         // Faults must abort/reroute the flights they touch *before* they
@@ -274,7 +280,7 @@ RunResult replay_sharded(Datacenter& dc, EventSource& source,
   const auto route_row = [&dc, &shards, shard_count](const core::VmInstance& vm) {
     const std::size_t cluster = dc.route(vm.id, vm.spec);
     ShardState& shard = shards[cluster % shard_count];
-    shard.queue.schedule_lane(
+    shard.queue->schedule_lane(
         vm.arrival, EventQueue::kLaneWorkload,
         [&dc, &shard, id = vm.id, spec = vm.spec](core::SimTime t) {
           if (shard.injector.has_value()) {
@@ -288,26 +294,26 @@ RunResult replay_sharded(Datacenter& dc, EventSource& source,
           }
           shard.observe(t);
         });
-    shard.queue.schedule_lane(vm.departure, EventQueue::kLaneWorkload,
-                              [&dc, &shard, cluster, id = vm.id](core::SimTime t) {
-                                // A departing VM first cancels any migration
-                                // intent it carries (rolling back an in-flight
-                                // reservation) — the engine must let go before
-                                // the VM leaves the placement maps.
-                                if (shard.engine.has_value()) {
-                                  shard.engine->on_departure(id, t);
-                                }
-                                // A VM still waiting for a retry (or parked
-                                // degraded) is not in the datacenter; the
-                                // injector absorbs its departure. Otherwise a
-                                // routed removal: a shard must never read the
-                                // other shards' placement maps.
-                                if (!shard.injector.has_value() ||
-                                    !shard.injector->absorb_departure(id)) {
-                                  dc.cluster(cluster).remove(id);
-                                }
-                                shard.observe(t);
-                              });
+    shard.queue->schedule_lane(vm.departure, EventQueue::kLaneWorkload,
+                               [&dc, &shard, cluster, id = vm.id](core::SimTime t) {
+                                 // A departing VM first cancels any migration
+                                 // intent it carries (rolling back an in-flight
+                                 // reservation) — the engine must let go before
+                                 // the VM leaves the placement maps.
+                                 if (shard.engine.has_value()) {
+                                   shard.engine->on_departure(id, t);
+                                 }
+                                 // A VM still waiting for a retry (or parked
+                                 // degraded) is not in the datacenter; the
+                                 // injector absorbs its departure. Otherwise a
+                                 // routed removal: a shard must never read the
+                                 // other shards' placement maps.
+                                 if (!shard.injector.has_value() ||
+                                     !shard.injector->absorb_departure(id)) {
+                                   dc.cluster(cluster).remove(id);
+                                 }
+                                 shard.observe(t);
+                               });
   };
   // Route every row whose arrival satisfies `due`, in row order.
   const auto pump = [&source, &route_row](const auto& due) {
@@ -330,7 +336,7 @@ RunResult replay_sharded(Datacenter& dc, EventSource& source,
         if (shard.clusters.empty()) {
           continue;
         }
-        shard.queue.schedule(t, [&dc, &shard, &rebalance](core::SimTime now) {
+        shard.queue->schedule(t, [&dc, &shard, &rebalance](core::SimTime now) {
           for (const std::size_t c : shard.clusters) {
             control_tick(shard, dc.cluster(c), c, rebalance, now);
           }
@@ -355,7 +361,7 @@ RunResult replay_sharded(Datacenter& dc, EventSource& source,
             continue;
           }
           shard.heat_caches.resize(dc.clusters().size());
-          shard.queue.schedule(t, [&dc, &shard, &itf](core::SimTime now) {
+          shard.queue->schedule(t, [&dc, &shard, &itf](core::SimTime now) {
             for (const std::size_t c : shard.clusters) {
               shard.partial.heat_updates +=
                   update_cluster_heat(dc.cluster(c), now, itf.heat_alpha,
@@ -375,7 +381,7 @@ RunResult replay_sharded(Datacenter& dc, EventSource& source,
     UsageMonitor* monitor = options.usage_monitor;
     for (core::SimTime t = monitor->interval() / 2; t < horizon;
          t += monitor->interval()) {
-      shards[0].queue.schedule(t, [&dc, monitor](core::SimTime now) {
+      shards[0].queue->schedule(t, [&dc, monitor](core::SimTime now) {
         monitor->record(sample_usage(dc, now));
       });
     }
@@ -395,7 +401,7 @@ RunResult replay_sharded(Datacenter& dc, EventSource& source,
     // depart strictly after they arrive, so pulling until the next row
     // arrives after the queue's earliest pending event maintains it — and
     // the queue never holds more than the trace's active window.
-    EventQueue& queue = shards[0].queue;
+    EventQueue& queue = *shards[0].queue;
     const auto due = [&queue](core::SimTime arrival) {
       return queue.empty() || arrival <= queue.next_time();
     };
@@ -421,8 +427,8 @@ RunResult replay_sharded(Datacenter& dc, EventSource& source,
       for (std::size_t k = 0; k < shards.size(); ++k) {
         const ShardState& shard = shards[k];
         os << "  shard " << k << ": " << shard.clusters.size() << " clusters, "
-           << shard.queue.fired_count() << " events fired, sim time "
-           << shard.queue.approx_now();
+           << shard.queue->fired_count() << " events fired, sim time "
+           << shard.queue->approx_now();
         if (shard.engine.has_value()) {
           os << ", " << shard.engine->in_flight() << " migrations in flight";
         }
@@ -445,7 +451,7 @@ RunResult replay_sharded(Datacenter& dc, EventSource& source,
       pump([deadline](core::SimTime arrival) { return arrival < deadline; });
       runner.for_each(
           shard_count,
-          [&shards, deadline](std::size_t k) { shards[k].queue.run_until(deadline); },
+          [&shards, deadline](std::size_t k) { shards[k].queue->run_until(deadline); },
           dog);
       // Barrier (serial): merge + drop the window's samples, replay every
       // placement index's dirty log in one linear batch, and — in tests —
@@ -461,7 +467,7 @@ RunResult replay_sharded(Datacenter& dc, EventSource& source,
     // repairs/retries may fire past the horizon).
     pump([](core::SimTime) { return true; });
     runner.for_each(
-        shard_count, [&shards](std::size_t k) { shards[k].queue.run(); }, dog);
+        shard_count, [&shards](std::size_t k) { shards[k].queue->run(); }, dog);
     merger.merge(shards);
   }
   debug_audit_check(dc);

@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "sim/datacenter.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/metrics.hpp"
 #include "sim/replay.hpp"
 #include "workload/trace.hpp"
@@ -93,6 +94,12 @@ struct ShardOptions {
   /// no cross-thread wait exists.
   std::size_t watchdog_ms = 0;
   bool watchdog_fatal = true;
+  /// A queue to run shard 0 on instead of a new one, e.g. one a sweep
+  /// thread keeps across its cells, so a replay regrows none of its
+  /// storage. The replay resets it first (EventQueue::reset), and nothing
+  /// else may use it until the replay returns. Results are identical
+  /// either way.
+  EventQueue* queue = nullptr;
 };
 
 /// One metric observation recorded by a shard after one of its events:

@@ -1,6 +1,8 @@
 #include "sim/usage_monitor.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 
 #include "core/error.hpp"
 #include "core/stats.hpp"
@@ -31,6 +33,18 @@ UsageSample sample_usage(const Datacenter& dc, core::SimTime t) {
     }
   }
   return sample;
+}
+
+DemandCache::DemandCache()
+    : pool_(std::make_unique<core::ListPool>()) {}
+
+DemandCache& DemandCache::operator=(DemandCache&& other) noexcept {
+  if (this != &other) {
+    // Term lists before the pool they draw from, as the destructor does.
+    std::destroy_at(this);
+    std::construct_at(this, std::move(other));
+  }
+  return *this;
 }
 
 void DemandCache::apply(const sched::MembershipDelta& delta) {
@@ -68,7 +82,13 @@ const std::vector<HostUsage>& DemandCache::sample(sched::VCluster& cluster,
   const std::vector<sched::HostState>& hosts = cluster.hosts();
   // A shrink (rolled-back openings) destroys the tail entries, so a later
   // regrow at the same ids starts present=false and rebuilds cleanly.
-  entries_.resize(hosts.size());
+  if (entries_.size() > hosts.size()) {
+    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(hosts.size()),
+                   entries_.end());
+  }
+  while (entries_.size() < hosts.size()) {
+    entries_.emplace_back(pool_->resource());
+  }
   usage_.resize(hosts.size());
   cluster.arm_membership_log();
   // With a complete journal the term lists are patched in place and the
@@ -89,6 +109,7 @@ const std::vector<HostUsage>& DemandCache::sample(sched::VCluster& cluster,
       // Re-derive the term list exactly as the naive sample does, in the
       // host's ascending-VmId order.
       entry.terms.clear();
+      entry.terms.reserve(host.vm_count());
       for (const auto& [vm, spec] : host.vms()) {
         entry.terms.push_back(Term{vm, static_cast<double>(spec.vcpus),
                                    workload::UsageSignal(vm, spec.usage)});
@@ -121,8 +142,8 @@ void DemandCache::restamp(const sched::VCluster& cluster) {
 std::size_t update_cluster_heat(sched::VCluster& cluster, core::SimTime t,
                                 double alpha, double bucket_width,
                                 DemandCache* cache) {
-  DemandCache local;
-  DemandCache& demand = cache != nullptr ? *cache : local;
+  std::optional<DemandCache> local;
+  DemandCache& demand = cache != nullptr ? *cache : local.emplace();
   const std::vector<HostUsage>& usage = demand.sample(cluster, t);
   for (sched::HostId h = 0; h < usage.size(); ++h) {
     const double q =

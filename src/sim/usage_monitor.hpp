@@ -16,8 +16,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <memory_resource>
 #include <vector>
 
+#include "core/list_pool.hpp"
 #include "core/units.hpp"
 #include "sim/datacenter.hpp"
 #include "workload/usage.hpp"
@@ -88,6 +91,13 @@ struct UsageReport {
 /// rebuild.
 class DemandCache {
  public:
+  DemandCache();
+  DemandCache(DemandCache&&) noexcept = default;
+  /// Not memberwise: that would replace pool_ while the term lists being
+  /// replaced still hold its memory.
+  DemandCache& operator=(DemandCache&& other) noexcept;
+  ~DemandCache() = default;
+
   /// Per-host demand breakdown at `t`, indexed by HostId: each host's
   /// demand sums its VMs' vcpus x usage(t) in ascending VmId order (the
   /// order HostState::vms() lists them), which pins the floating-point
@@ -117,15 +127,22 @@ class DemandCache {
     workload::UsageSignal signal;
   };
   struct Entry {
+    explicit Entry(std::pmr::memory_resource* pool) : terms(pool) {}
     std::uint64_t epoch = 0;
     bool present = false;
-    std::vector<Term> terms;  ///< ascending VmId
+    std::pmr::vector<Term> terms;  ///< ascending VmId, drawn from pool_
   };
 
   /// Patch one journaled delta into the cached term lists; deltas for hosts
   /// without a present entry are ignored (the rebuild re-derives them).
   void apply(const sched::MembershipDelta& delta);
 
+  /// The pool the term lists draw from (core::ListPool), so deriving the
+  /// lists of a freshly opened fleet costs a few arena buffers rather than
+  /// an allocation per host. Held by pointer, so its address survives moves
+  /// of the cache (a shard keeps its caches in a vector); declared before
+  /// entries_, so it is destroyed after them.
+  std::unique_ptr<core::ListPool> pool_;
   std::vector<Entry> entries_;
   std::vector<HostUsage> usage_;
   std::vector<sched::MembershipDelta> log_;  ///< journal drain buffer

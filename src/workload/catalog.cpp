@@ -1,10 +1,17 @@
 #include "workload/catalog.hpp"
 
+#include <algorithm>
 #include <span>
 
 #include "core/error.hpp"
 
 namespace slackvm::workload {
+
+namespace {
+
+bool fits_oversub_cap(const Flavor& flavor) { return flavor.mem_mib <= kOversubMemCap; }
+
+}  // namespace
 
 Catalog::Catalog(std::string provider, std::vector<Flavor> flavors,
                  std::vector<double> weights)
@@ -17,6 +24,20 @@ Catalog::Catalog(std::string provider, std::vector<Flavor> flavors,
   for (const Flavor& f : flavors_) {
     SLACKVM_ASSERT(f.vcpus > 0 && f.mem_mib > 0);
   }
+  if (std::ranges::any_of(flavors_, fits_oversub_cap) &&
+      !std::ranges::all_of(flavors_, fits_oversub_cap)) {
+    oversub_ = std::make_shared<const Catalog>(truncated(kOversubMemCap));
+  }
+}
+
+const Catalog& Catalog::oversub_offers() const {
+  if (oversub_ != nullptr) {
+    return *oversub_;
+  }
+  if (std::ranges::all_of(flavors_, fits_oversub_cap)) {
+    return *this;
+  }
+  SLACKVM_THROW("Catalog::truncated: no flavor fits the cap");
 }
 
 const Flavor& Catalog::sample(core::SplitMix64& rng) const {
@@ -56,7 +77,7 @@ double Catalog::expected_mc_ratio(core::OversubLevel level) const {
   // consumes 1/n physical core, so the provisioned GiB-per-core ratio is
   // n * (avg mem / avg vCPUs) over the applicable catalog.
   const CatalogStats s =
-      level.oversubscribed() ? truncated(kOversubMemCap).stats() : stats();
+      level.oversubscribed() ? oversub_offers().stats() : stats();
   return static_cast<double>(level.ratio()) * s.mem_per_vcpu();
 }
 

@@ -11,6 +11,7 @@
 // Calibration is asserted by tests/workload_catalog_test.cpp.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,10 @@ struct CatalogStats {
   [[nodiscard]] double mem_per_vcpu() const { return avg_mem_gib / avg_vcpus; }
 };
 
+/// Memory cap of oversubscribed offers (paper §III-A: OVHcloud does not
+/// offer oversubscribed VMs above 8 GB).
+inline constexpr core::MemMib kOversubMemCap = core::gib(8);
+
 /// Weighted set of flavors with deterministic sampling.
 class Catalog {
  public:
@@ -52,6 +57,11 @@ class Catalog {
   /// offer cut; the paper uses 8 GB). Weights are renormalized implicitly.
   [[nodiscard]] Catalog truncated(core::MemMib max_mem) const;
 
+  /// truncated(kOversubMemCap), built once with the catalog: the offers
+  /// oversubscribed VMs draw from. Every Generator samples it, so building
+  /// one copies nothing. Throws when no flavor fits the cap.
+  [[nodiscard]] const Catalog& oversub_offers() const;
+
   /// Expected M/C ratio (provisioned GiB per physical core) of VMs drawn
   /// from this catalog at oversubscription `level` — the Table II entries.
   [[nodiscard]] double expected_mc_ratio(core::OversubLevel level) const;
@@ -61,11 +71,10 @@ class Catalog {
   std::vector<Flavor> flavors_;
   std::vector<double> weights_;
   core::DiscreteSampler sampler_;
+  /// oversub_offers() when some flavors exceed the cap but not all; null
+  /// when the catalog is its own cut, or has none.
+  std::shared_ptr<const Catalog> oversub_;
 };
-
-/// Memory cap of oversubscribed offers (paper §III-A: OVHcloud does not
-/// offer oversubscribed VMs above 8 GB).
-inline constexpr core::MemMib kOversubMemCap = core::gib(8);
 
 /// Calibrated Azure catalog (Table I row 1).
 [[nodiscard]] const Catalog& azure_catalog();

@@ -9,7 +9,7 @@ namespace slackvm::workload {
 
 Generator::Generator(const Catalog& catalog, LevelMix mix, GeneratorConfig config)
     : catalog_(catalog),
-      oversub_catalog_(catalog.truncated(kOversubMemCap)),
+      oversub_catalog_(catalog.oversub_offers()),
       mix_(std::move(mix)),
       config_(config) {
   SLACKVM_ASSERT(mix_.valid());
@@ -87,13 +87,18 @@ bool Generator::Stream::next(core::VmInstance& out) {
 }
 
 Trace Generator::generate() const {
-  Stream stream(*this);
   std::vector<core::VmInstance> vms;
+  generate_into(vms);
+  return Trace(std::move(vms));
+}
+
+void Generator::generate_into(std::vector<core::VmInstance>& rows) const {
+  rows.clear();
+  Stream stream(*this);
   core::VmInstance vm;
   while (stream.next(vm)) {
-    vms.push_back(vm);
+    rows.push_back(vm);
   }
-  return Trace(std::move(vms));
 }
 
 }  // namespace slackvm::workload

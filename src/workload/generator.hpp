@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "workload/catalog.hpp"
@@ -66,6 +67,11 @@ class Generator {
   /// Generate the full trace. Deterministic for a given (catalog, mix, seed).
   [[nodiscard]] Trace generate() const;
 
+  /// The rows generate() would hold, in the same (arrival) order, written
+  /// over `rows` so that a caller generating trace after trace into one
+  /// vector reuses its storage.
+  void generate_into(std::vector<core::VmInstance>& rows) const;
+
   [[nodiscard]] const GeneratorConfig& config() const noexcept { return config_; }
   [[nodiscard]] const LevelMix& mix() const noexcept { return mix_; }
 
@@ -73,7 +79,7 @@ class Generator {
   [[nodiscard]] core::VmSpec sample_spec(core::SplitMix64& rng) const;
 
   const Catalog& catalog_;
-  Catalog oversub_catalog_;  ///< catalog truncated at kOversubMemCap
+  const Catalog& oversub_catalog_;  ///< catalog_.oversub_offers()
   LevelMix mix_;
   GeneratorConfig config_;
 };

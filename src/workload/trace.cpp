@@ -16,13 +16,19 @@ Trace::Trace(std::vector<core::VmInstance> vms) : vms_(std::move(vms)) {
   // round-trip truncates precision) keep their input order, so a
   // materialized trace replays the exact event sequence the streaming
   // frontend (TraceReader) produces from the same file.
-  std::ranges::stable_sort(vms_, {},
-                           [](const core::VmInstance& vm) { return vm.arrival; });
+  // Generated traces arrive sorted; checking first spares the sort's
+  // temporary buffer.
+  const auto arrival = [](const core::VmInstance& vm) { return vm.arrival; };
+  if (!std::ranges::is_sorted(vms_, {}, arrival)) {
+    std::ranges::stable_sort(vms_, {}, arrival);
+  }
 }
 
-core::SimTime Trace::horizon() const {
+core::SimTime Trace::horizon() const { return workload::horizon(vms_); }
+
+core::SimTime horizon(std::span<const core::VmInstance> rows) {
   core::SimTime latest = 0;
-  for (const core::VmInstance& vm : vms_) {
+  for (const core::VmInstance& vm : rows) {
     latest = std::max(latest, vm.departure);
   }
   return latest;

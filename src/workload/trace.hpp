@@ -2,6 +2,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,5 +38,9 @@ class Trace {
  private:
   std::vector<core::VmInstance> vms_;
 };
+
+/// Latest departure over `rows` (0 when empty): Trace::horizon of a trace
+/// holding them.
+[[nodiscard]] core::SimTime horizon(std::span<const core::VmInstance> rows);
 
 }  // namespace slackvm::workload

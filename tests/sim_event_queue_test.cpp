@@ -237,6 +237,40 @@ TEST(EventQueueTest, ThrowFromRunUntilKeepsLaterEvents) {
   EXPECT_EQ(queue.now(), 5.0);
 }
 
+TEST(EventQueueTest, ResetDropsPendingEventsAndReplaysLikeANewQueue) {
+  const auto schedule_all = [](EventQueue& queue, std::vector<int>& order) {
+    for (int i = 0; i < 300; ++i) {
+      queue.schedule_lane(static_cast<double>(i % 7), static_cast<std::uint8_t>(i % 2),
+                          [&order, i](core::SimTime) { order.push_back(i); });
+    }
+  };
+  EventQueue used;
+  std::vector<int> discarded;
+  schedule_all(used, discarded);
+  const auto token = std::make_shared<int>(0);
+  used.schedule(9.0, [token](core::SimTime) {});
+  for (int i = 0; i < 120; ++i) {
+    used.step();
+  }
+  used.reset();
+  EXPECT_TRUE(used.empty());
+  EXPECT_EQ(used.now(), 0.0);
+  EXPECT_EQ(used.fired_count(), 0U);
+  EXPECT_EQ(used.approx_now(), 0.0);
+  EXPECT_EQ(token.use_count(), 1) << "a dropped action was not destroyed";
+
+  std::vector<int> reused_order;
+  std::vector<int> fresh_order;
+  EventQueue fresh;
+  schedule_all(used, reused_order);
+  schedule_all(fresh, fresh_order);
+  used.run();
+  fresh.run();
+  EXPECT_EQ(reused_order, fresh_order);
+  EXPECT_EQ(used.fired_count(), fresh.fired_count());
+  EXPECT_EQ(used.now(), fresh.now());
+}
+
 // --- inline storage ------------------------------------------------------------
 
 TEST(EventActionTest, InlineLimitAndHeapFallback) {

@@ -13,6 +13,7 @@
 #include "core/error.hpp"
 #include "sched/policy.hpp"
 #include "sim/audit.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/experiment.hpp"
 #include "sim/fault.hpp"
 #include "sim/replay.hpp"
@@ -224,6 +225,41 @@ TEST(ShardDifferential, MoreShardsThanClustersIsHarmless) {
   options.threads = 8;
   Datacenter dc = make_dc(2, true);
   expect_identical(reference, replay_sharded(dc, trace, options));
+}
+
+// A queue lent through ShardOptions::queue runs shard 0 and is reset first:
+// leftovers of an earlier use (here a pending event that must never fire,
+// then a whole replay) change nothing, at every shard and thread count,
+// with faults and migration flights on the lent queue.
+TEST(ShardDifferential, LentQueueNeverChangesResults) {
+  ScopedDebugAudit audit_every_event;
+  const workload::Trace trace = make_trace(80, 9);
+  const FaultConfig faults = make_faults();
+  RebalanceOptions rebalance{6.0 * 3600, 16};
+  rebalance.migration.enabled = true;
+  EventQueue lent;
+  bool leftover_fired = false;
+  lent.schedule(1.0, [&leftover_fired](core::SimTime) { leftover_fired = true; });
+  for (const std::size_t shards : kShardCounts) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      ShardOptions options;
+      options.shards = shards;
+      options.threads = threads;
+      options.faults = &faults;
+      options.rebalance = rebalance;
+      Datacenter reference_dc = make_dc(shards, true);
+      const RunResult reference = replay_sharded(reference_dc, trace, options);
+      options.queue = &lent;
+      Datacenter dc = make_dc(shards, true);
+      const RunResult result = replay_sharded(dc, trace, options);
+      SCOPED_TRACE("shards " + std::to_string(shards) + " threads " +
+                   std::to_string(threads));
+      expect_identical(reference, result);
+      EXPECT_TRUE(lent.empty());
+      EXPECT_GT(lent.fired_count(), 0U);
+    }
+  }
+  EXPECT_FALSE(leftover_fired);
 }
 
 // The ExperimentConfig::shards knob: the grid engine must produce identical

@@ -55,6 +55,25 @@ TEST(CatalogTest, TruncationDropsLargeFlavors) {
   }
 }
 
+TEST(CatalogTest, OversubOffersSampleLikeTheTruncatedCatalog) {
+  // Generators sample the cut built with the catalog; it must draw the
+  // very flavors a truncated copy draws, or every generated trace moves.
+  for (const Catalog* catalog : {&azure_catalog(), &ovhcloud_catalog()}) {
+    const Catalog copy = catalog->truncated(kOversubMemCap);
+    const Catalog& offers = catalog->oversub_offers();
+    ASSERT_EQ(offers.flavors().size(), copy.flavors().size());
+    core::SplitMix64 rng_a(11);
+    core::SplitMix64 rng_b(11);
+    for (int i = 0; i < 1000; ++i) {
+      EXPECT_EQ(offers.sample(rng_a).name, copy.sample(rng_b).name);
+    }
+    // A catalog within the cap is its own cut.
+    EXPECT_EQ(&offers.oversub_offers(), &offers);
+  }
+  const Catalog big("big", {{"L", 8, core::gib(64)}}, {1.0});
+  EXPECT_THROW((void)big.oversub_offers(), core::SlackError);
+}
+
 TEST(CatalogTest, TruncationBelowSmallestThrows) {
   EXPECT_THROW((void)azure_catalog().truncated(core::gib(0)), core::SlackError);
 }
