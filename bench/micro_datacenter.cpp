@@ -96,18 +96,6 @@ workload::Trace mixed_trace(std::size_t vms) {
   return workload::Trace(std::move(instances));
 }
 
-bool identical(const sim::RunResult& a, const sim::RunResult& b) {
-  return a.opened_pms == b.opened_pms && a.peak_active_pms == b.peak_active_pms &&
-         a.migrations == b.migrations && a.placed_vms == b.placed_vms &&
-         a.peak_vms == b.peak_vms && a.opened_per_cluster == b.opened_per_cluster &&
-         a.avg_unalloc_cpu_share == b.avg_unalloc_cpu_share &&
-         a.avg_unalloc_mem_share == b.avg_unalloc_mem_share &&
-         a.peak_unalloc_cpu_share == b.peak_unalloc_cpu_share &&
-         a.peak_unalloc_mem_share == b.peak_unalloc_mem_share &&
-         a.duration == b.duration && a.avg_active_pms == b.avg_active_pms &&
-         a.avg_alloc_cores == b.avg_alloc_cores;
-}
-
 struct Timed {
   sim::RunResult result;
   double wall_s = 0;
@@ -133,7 +121,7 @@ Timed run(const workload::Trace& trace, const core::Resources& host,
     dc.set_index_enabled(index);
     options.threads = check_threads;
     out.identical_across_threads =
-        identical(out.result, sim::replay_sharded(dc, trace, options));
+        out.result == sim::replay_sharded(dc, trace, options);
   }
   return out;
 }

@@ -345,18 +345,6 @@ PlanCase bench_plan(std::size_t hosts, std::size_t naive_cap, std::size_t reps) 
   return out;
 }
 
-bool identical(const sim::RunResult& a, const sim::RunResult& b) {
-  return a.opened_pms == b.opened_pms && a.migrations == b.migrations &&
-         a.placed_vms == b.placed_vms && a.peak_vms == b.peak_vms &&
-         a.avg_unalloc_cpu_share == b.avg_unalloc_cpu_share &&
-         a.avg_unalloc_mem_share == b.avg_unalloc_mem_share &&
-         a.heat_updates == b.heat_updates && a.itf_passes == b.itf_passes &&
-         a.itf_hot_hosts == b.itf_hot_hosts &&
-         a.itf_evictions == b.itf_evictions &&
-         a.itf_applied == b.itf_applied &&
-         a.itf_requested == b.itf_requested && a.itf_skipped == b.itf_skipped;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -420,14 +408,13 @@ int main(int argc, char** argv) {
   const auto itf_policy = [] { return sched::make_interference_policy(4.0); };
   const ReplayResult loop_run = timed_replay(trace, itf_policy, loop, /*reps=*/5);
   const ReplayResult loop_again = timed_replay(trace, itf_policy, loop, /*reps=*/1);
-  const bool deterministic = identical(loop_run.result, loop_again.result);
+  const bool deterministic = loop_run.result == loop_again.result;
   const double loop_overhead_pct =
       base.wall_s > 0
           ? 100.0 * (loop_run.wall_s - base.wall_s) / base.wall_s
           : 0;
   const sim::RunResult& lr = loop_run.result;
-  const bool identity_holds =
-      lr.itf_evictions == lr.itf_applied + lr.itf_requested + lr.itf_skipped;
+  const bool identity_holds = sim::counter_identity_violations(lr).empty();
 
   // --- section 4: plan throughput -----------------------------------------
   constexpr std::size_t kNaiveCap = 10000;  // naive is quadratic past this

@@ -184,18 +184,6 @@ ReplayResult timed_replay(const workload::Trace& trace, const sim::FaultConfig* 
   return out;
 }
 
-bool identical(const sim::RunResult& a, const sim::RunResult& b) {
-  return a.opened_pms == b.opened_pms && a.migrations == b.migrations &&
-         a.placed_vms == b.placed_vms && a.peak_vms == b.peak_vms &&
-         a.avg_unalloc_cpu_share == b.avg_unalloc_cpu_share &&
-         a.avg_unalloc_mem_share == b.avg_unalloc_mem_share &&
-         a.mig_planned == b.mig_planned && a.mig_committed == b.mig_committed &&
-         a.mig_cancelled == b.mig_cancelled &&
-         a.mig_rolled_back == b.mig_rolled_back &&
-         a.mig_timed_out == b.mig_timed_out && a.mig_degraded == b.mig_degraded &&
-         a.mig_retries == b.mig_retries;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -243,14 +231,12 @@ int main(int argc, char** argv) {
   const ReplayResult instant_run = timed_replay(trace, &faults, instant, /*reps=*/5);
   const ReplayResult engine_run = timed_replay(trace, &faults, engine, /*reps=*/5);
   const ReplayResult engine_again = timed_replay(trace, &faults, engine, /*reps=*/1);
-  const bool deterministic = identical(engine_run.result, engine_again.result);
+  const bool deterministic = engine_run.result == engine_again.result;
   const double overhead_pct =
       base.wall_s > 0 ? 100.0 * (engine_run.wall_s - base.wall_s) / base.wall_s
                       : 0.0;
   const sim::RunResult& er = engine_run.result;
-  const bool identity_holds =
-      er.mig_planned == er.mig_committed + er.mig_cancelled + er.mig_rolled_back +
-                            er.mig_timed_out + er.mig_degraded;
+  const bool identity_holds = sim::counter_identity_violations(er).empty();
 
   const bool ok = deterministic && identity_holds && throughput.committed > 0;
 

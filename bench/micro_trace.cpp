@@ -106,18 +106,6 @@ sim::Datacenter make_dc() {
   return dc;
 }
 
-bool identical(const sim::RunResult& a, const sim::RunResult& b) {
-  return a.opened_pms == b.opened_pms && a.peak_active_pms == b.peak_active_pms &&
-         a.migrations == b.migrations && a.placed_vms == b.placed_vms &&
-         a.peak_vms == b.peak_vms && a.opened_per_cluster == b.opened_per_cluster &&
-         a.avg_unalloc_cpu_share == b.avg_unalloc_cpu_share &&
-         a.avg_unalloc_mem_share == b.avg_unalloc_mem_share &&
-         a.peak_unalloc_cpu_share == b.peak_unalloc_cpu_share &&
-         a.peak_unalloc_mem_share == b.peak_unalloc_mem_share &&
-         a.duration == b.duration && a.avg_active_pms == b.avg_active_pms &&
-         a.avg_alloc_cores == b.avg_alloc_cores;
-}
-
 bool same_rows(const workload::Trace& a, const workload::Trace& b) {
   if (a.size() != b.size()) {
     return false;
@@ -192,7 +180,7 @@ int main(int argc, char** argv) {
     materialized_wall = seconds_since(start);
   }
   const std::size_t materialized_rss_kib = peak_rss_kib();
-  const bool replay_identical = identical(streamed, materialized);
+  const bool replay_identical = streamed == materialized;
 
   // --- section 3: parse throughput ----------------------------------------
   double istream_wall = 0;

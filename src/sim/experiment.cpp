@@ -4,6 +4,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
+#include <type_traits>
 
 #include "core/error.hpp"
 #include "core/oversub.hpp"
@@ -213,133 +215,36 @@ std::size_t round_to_count(double sum, double n) {
 }  // namespace
 
 RunResult mean_result(std::span<const RunResult> results) {
-  if (results.empty()) {
-    return {};
-  }
-  // Plain left-to-right sums: reducing in repetition order keeps the
-  // floating-point results bit-stable across thread counts.
-  double opened = 0;
-  double peak_active = 0;
-  double migrations = 0;
-  double placed = 0;
-  double peak = 0;
-  double cpu = 0;
-  double mem = 0;
-  double peak_cpu = 0;
-  double peak_mem = 0;
-  double duration = 0;
-  double active = 0;
-  double alloc_cores = 0;
-  double host_failures = 0;
-  double host_repairs = 0;
-  double drained = 0;
-  double evacuated = 0;
-  double replaced = 0;
-  double evac_migrated = 0;
-  double retries = 0;
-  double evac_departed = 0;
-  double degraded = 0;
-  double deferred = 0;
-  double dropped = 0;
-  double mig_planned = 0;
-  double mig_committed = 0;
-  double mig_cancelled = 0;
-  double mig_rolled_back = 0;
-  double mig_timed_out = 0;
-  double mig_degraded = 0;
-  double mig_retries = 0;
-  double heat_updates = 0;
-  double itf_passes = 0;
-  double itf_hot_hosts = 0;
-  double itf_evictions = 0;
-  double itf_applied = 0;
-  double itf_requested = 0;
-  double itf_skipped = 0;
-  std::map<std::string, double> per_cluster;
-  for (const RunResult& r : results) {
-    opened += static_cast<double>(r.opened_pms);
-    peak_active += static_cast<double>(r.peak_active_pms);
-    migrations += static_cast<double>(r.migrations);
-    placed += static_cast<double>(r.placed_vms);
-    peak += static_cast<double>(r.peak_vms);
-    cpu += r.avg_unalloc_cpu_share;
-    mem += r.avg_unalloc_mem_share;
-    peak_cpu += r.peak_unalloc_cpu_share;
-    peak_mem += r.peak_unalloc_mem_share;
-    duration += r.duration;
-    active += r.avg_active_pms;
-    alloc_cores += r.avg_alloc_cores;
-    host_failures += static_cast<double>(r.host_failures);
-    host_repairs += static_cast<double>(r.host_repairs);
-    drained += static_cast<double>(r.drained_hosts);
-    evacuated += static_cast<double>(r.evacuated_vms);
-    replaced += static_cast<double>(r.evac_replaced);
-    evac_migrated += static_cast<double>(r.evac_migrated);
-    retries += static_cast<double>(r.evac_retries);
-    evac_departed += static_cast<double>(r.evac_departed);
-    degraded += static_cast<double>(r.degraded_vms);
-    deferred += static_cast<double>(r.deferred_arrivals);
-    dropped += static_cast<double>(r.arrivals_dropped);
-    mig_planned += static_cast<double>(r.mig_planned);
-    mig_committed += static_cast<double>(r.mig_committed);
-    mig_cancelled += static_cast<double>(r.mig_cancelled);
-    mig_rolled_back += static_cast<double>(r.mig_rolled_back);
-    mig_timed_out += static_cast<double>(r.mig_timed_out);
-    mig_degraded += static_cast<double>(r.mig_degraded);
-    mig_retries += static_cast<double>(r.mig_retries);
-    heat_updates += static_cast<double>(r.heat_updates);
-    itf_passes += static_cast<double>(r.itf_passes);
-    itf_hot_hosts += static_cast<double>(r.itf_hot_hosts);
-    itf_evictions += static_cast<double>(r.itf_evictions);
-    itf_applied += static_cast<double>(r.itf_applied);
-    itf_requested += static_cast<double>(r.itf_requested);
-    itf_skipped += static_cast<double>(r.itf_skipped);
-    for (const auto& [cluster, pms] : r.opened_per_cluster) {
-      per_cluster[cluster] += static_cast<double>(pms);
-    }
-  }
-  const double d = static_cast<double>(results.size());
   RunResult out;
-  out.opened_pms = round_to_count(opened, d);
-  out.peak_active_pms = round_to_count(peak_active, d);
-  out.migrations = round_to_count(migrations, d);
-  out.placed_vms = round_to_count(placed, d);
-  out.peak_vms = round_to_count(peak, d);
-  out.avg_unalloc_cpu_share = cpu / d;
-  out.avg_unalloc_mem_share = mem / d;
-  out.peak_unalloc_cpu_share = peak_cpu / d;
-  out.peak_unalloc_mem_share = peak_mem / d;
-  out.duration = duration / d;
-  out.avg_active_pms = active / d;
-  out.avg_alloc_cores = alloc_cores / d;
-  out.host_failures = round_to_count(host_failures, d);
-  out.host_repairs = round_to_count(host_repairs, d);
-  out.drained_hosts = round_to_count(drained, d);
-  out.evacuated_vms = round_to_count(evacuated, d);
-  out.evac_replaced = round_to_count(replaced, d);
-  out.evac_migrated = round_to_count(evac_migrated, d);
-  out.evac_retries = round_to_count(retries, d);
-  out.evac_departed = round_to_count(evac_departed, d);
-  out.degraded_vms = round_to_count(degraded, d);
-  out.deferred_arrivals = round_to_count(deferred, d);
-  out.arrivals_dropped = round_to_count(dropped, d);
-  out.mig_planned = round_to_count(mig_planned, d);
-  out.mig_committed = round_to_count(mig_committed, d);
-  out.mig_cancelled = round_to_count(mig_cancelled, d);
-  out.mig_rolled_back = round_to_count(mig_rolled_back, d);
-  out.mig_timed_out = round_to_count(mig_timed_out, d);
-  out.mig_degraded = round_to_count(mig_degraded, d);
-  out.mig_retries = round_to_count(mig_retries, d);
-  out.heat_updates = round_to_count(heat_updates, d);
-  out.itf_passes = round_to_count(itf_passes, d);
-  out.itf_hot_hosts = round_to_count(itf_hot_hosts, d);
-  out.itf_evictions = round_to_count(itf_evictions, d);
-  out.itf_applied = round_to_count(itf_applied, d);
-  out.itf_requested = round_to_count(itf_requested, d);
-  out.itf_skipped = round_to_count(itf_skipped, d);
-  for (const auto& [cluster, sum] : per_cluster) {
-    out.opened_per_cluster[cluster] = round_to_count(sum, d);
+  if (results.empty()) {
+    return out;
   }
+  // Plain left-to-right sums per field: reducing in repetition order keeps
+  // the floating-point results bit-stable across thread counts.
+  const double d = static_cast<double>(results.size());
+  RunResult::for_each_field([&out, results, d]<class T>(const char*, T RunResult::*field) {
+    if constexpr (std::is_arithmetic_v<T>) {
+      double sum = 0;
+      for (const RunResult& r : results) {
+        sum += static_cast<double>(r.*field);
+      }
+      if constexpr (std::is_same_v<T, double>) {
+        out.*field = sum / d;
+      } else {
+        out.*field = round_to_count(sum, d);
+      }
+    } else {
+      std::map<std::string, double> sums;  // a missing key counts as 0
+      for (const RunResult& r : results) {
+        for (const auto& [key, count] : r.*field) {
+          sums[key] += static_cast<double>(count);
+        }
+      }
+      for (const auto& [key, sum] : sums) {
+        (out.*field)[key] = round_to_count(sum, d);
+      }
+    }
+  });
   return out;
 }
 

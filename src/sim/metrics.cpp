@@ -40,4 +40,24 @@ void MetricsCollector::finish(core::SimTime end_time, RunResult& result) const {
   result.peak_unalloc_mem_share = peak_mem_share_;
 }
 
+std::vector<std::string> counter_identity_violations(const RunResult& r) {
+  std::vector<std::string> out;
+  const auto check = [&out](const char* identity, std::size_t total, std::size_t parts) {
+    if (total != parts) {
+      out.push_back(std::string(identity) + ": " + std::to_string(total) +
+                    " != " + std::to_string(parts));
+    }
+  };
+  check("evacuated_vms == evac_replaced + evac_departed + degraded_vms",
+        r.evacuated_vms, r.evac_replaced + r.evac_departed + r.degraded_vms);
+  check("mig_planned == mig_committed + mig_cancelled + mig_rolled_back + "
+        "mig_timed_out + mig_degraded",
+        r.mig_planned,
+        r.mig_committed + r.mig_cancelled + r.mig_rolled_back + r.mig_timed_out +
+            r.mig_degraded);
+  check("itf_evictions == itf_applied + itf_requested + itf_skipped", r.itf_evictions,
+        r.itf_applied + r.itf_requested + r.itf_skipped);
+  return out;
+}
+
 }  // namespace slackvm::sim

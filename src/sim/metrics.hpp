@@ -1,8 +1,10 @@
 // Run-level metrics of a trace replay.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/resources.hpp"
 #include "core/stats.hpp"
@@ -81,7 +83,73 @@ struct RunResult {
   /// (thread counts, shard counts, reset datacenters) promise identical
   /// bits, not approximate agreement.
   friend bool operator==(const RunResult&, const RunResult&) = default;
+
+  /// Calls `f(name, &RunResult::member)` for every member, once each, in
+  /// declaration order: the one list of run fields. The shard merge
+  /// (`replay_sharded` sums the counters), `mean_result` (rounded means of
+  /// counts, plain means of doubles, per-key means of the map), the golden
+  /// dump and `expect_identical` (tests/) iterate it instead of naming
+  /// fields. A new member needs its row here, or the static_assert below
+  /// the struct fails to compile.
+  template <class F>
+  static constexpr void for_each_field(F&& f) {
+    f("opened_pms", &RunResult::opened_pms);
+    f("peak_active_pms", &RunResult::peak_active_pms);
+    f("migrations", &RunResult::migrations);
+    f("opened_per_cluster", &RunResult::opened_per_cluster);
+    f("placed_vms", &RunResult::placed_vms);
+    f("peak_vms", &RunResult::peak_vms);
+    f("avg_unalloc_cpu_share", &RunResult::avg_unalloc_cpu_share);
+    f("avg_unalloc_mem_share", &RunResult::avg_unalloc_mem_share);
+    f("peak_unalloc_cpu_share", &RunResult::peak_unalloc_cpu_share);
+    f("peak_unalloc_mem_share", &RunResult::peak_unalloc_mem_share);
+    f("duration", &RunResult::duration);
+    f("avg_active_pms", &RunResult::avg_active_pms);
+    f("avg_alloc_cores", &RunResult::avg_alloc_cores);
+    f("host_failures", &RunResult::host_failures);
+    f("host_repairs", &RunResult::host_repairs);
+    f("drained_hosts", &RunResult::drained_hosts);
+    f("evacuated_vms", &RunResult::evacuated_vms);
+    f("evac_replaced", &RunResult::evac_replaced);
+    f("evac_migrated", &RunResult::evac_migrated);
+    f("evac_retries", &RunResult::evac_retries);
+    f("evac_departed", &RunResult::evac_departed);
+    f("degraded_vms", &RunResult::degraded_vms);
+    f("deferred_arrivals", &RunResult::deferred_arrivals);
+    f("arrivals_dropped", &RunResult::arrivals_dropped);
+    f("mig_planned", &RunResult::mig_planned);
+    f("mig_committed", &RunResult::mig_committed);
+    f("mig_cancelled", &RunResult::mig_cancelled);
+    f("mig_rolled_back", &RunResult::mig_rolled_back);
+    f("mig_timed_out", &RunResult::mig_timed_out);
+    f("mig_degraded", &RunResult::mig_degraded);
+    f("mig_retries", &RunResult::mig_retries);
+    f("heat_updates", &RunResult::heat_updates);
+    f("itf_passes", &RunResult::itf_passes);
+    f("itf_hot_hosts", &RunResult::itf_hot_hosts);
+    f("itf_evictions", &RunResult::itf_evictions);
+    f("itf_applied", &RunResult::itf_applied);
+    f("itf_requested", &RunResult::itf_requested);
+    f("itf_skipped", &RunResult::itf_skipped);
+  }
 };
+
+// The members tile the struct without padding, so a member without its
+// for_each_field row leaves the sum short.
+static_assert(
+    [] {
+      std::size_t bytes = 0;
+      RunResult::for_each_field(
+          [&bytes]<class T>(const char*, T RunResult::*) { bytes += sizeof(T); });
+      return bytes;
+    }() == sizeof(RunResult),
+    "every RunResult member needs a row in RunResult::for_each_field");
+
+/// The counter identities of one drained replay (the comments on the fault,
+/// mig_* and itf_* blocks above), one message per broken identity, naming
+/// its counters; empty, and allocation-free, when all hold. For
+/// single-replay results only: a mean_result's rounding may break them.
+std::vector<std::string> counter_identity_violations(const RunResult& r);
 
 /// Streaming collector driven by the replay loop.
 class MetricsCollector {

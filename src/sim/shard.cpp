@@ -6,6 +6,9 @@
 #include <cstdio>
 #include <functional>
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "core/error.hpp"
 #include "perf/contention.hpp"
@@ -144,6 +147,17 @@ void control_tick(ShardState& shard, sched::VCluster& cluster, std::size_t c,
   }
   r.migrations +=
       execute(shard.rebalancer.plan(cluster, rebalance.budget_per_pass));
+}
+
+void throw_on_violations(const char* header, const std::vector<std::string>& violations) {
+  if (violations.empty()) {
+    return;
+  }
+  std::string message = header;
+  for (const std::string& v : violations) {
+    message += "\n  " + v;
+  }
+  SLACKVM_THROW(message);
 }
 
 }  // namespace
@@ -479,44 +493,18 @@ RunResult replay_sharded(Datacenter& dc, EventSource& source,
       // identity and the reservation <-> flight bijection per shard.
       SLACKVM_ASSERT(shard.engine->in_flight() == 0 &&
                      shard.engine->pending_intents() == 0);
-      const std::vector<std::string> violations = shard.engine->audit();
-      if (!violations.empty()) {
-        std::string message = "replay: migration audit failed:";
-        for (const std::string& v : violations) {
-          message += "\n  " + v;
-        }
-        SLACKVM_THROW(message);
-      }
+      throw_on_violations("replay: migration audit failed:", shard.engine->audit());
     }
-    const RunResult& p = shard.partial;
-    result.migrations += p.migrations;
-    result.placed_vms += p.placed_vms;
-    result.host_failures += p.host_failures;
-    result.host_repairs += p.host_repairs;
-    result.drained_hosts += p.drained_hosts;
-    result.evacuated_vms += p.evacuated_vms;
-    result.evac_replaced += p.evac_replaced;
-    result.evac_migrated += p.evac_migrated;
-    result.evac_retries += p.evac_retries;
-    result.evac_departed += p.evac_departed;
-    result.degraded_vms += p.degraded_vms;
-    result.deferred_arrivals += p.deferred_arrivals;
-    result.arrivals_dropped += p.arrivals_dropped;
-    result.mig_planned += p.mig_planned;
-    result.mig_committed += p.mig_committed;
-    result.mig_cancelled += p.mig_cancelled;
-    result.mig_rolled_back += p.mig_rolled_back;
-    result.mig_timed_out += p.mig_timed_out;
-    result.mig_degraded += p.mig_degraded;
-    result.mig_retries += p.mig_retries;
-    result.heat_updates += p.heat_updates;
-    result.itf_passes += p.itf_passes;
-    result.itf_hot_hosts += p.itf_hot_hosts;
-    result.itf_evictions += p.itf_evictions;
-    result.itf_applied += p.itf_applied;
-    result.itf_requested += p.itf_requested;
-    result.itf_skipped += p.itf_skipped;
+    // Partials hold integer counters only (opened_pms, peak_active_pms and
+    // peak_vms stay 0 there; they come from the datacenter and the merger).
+    RunResult::for_each_field([&result, &shard]<class T>(const char*, T RunResult::*field) {
+      if constexpr (std::is_same_v<T, std::size_t>) {
+        result.*field += shard.partial.*field;
+      }
+    });
   }
+  throw_on_violations("replay: counter identity broken:",
+                      counter_identity_violations(result));
   result.opened_pms = dc.opened_pms();
   result.opened_per_cluster = dc.opened_per_cluster();
   merger.finish(result);

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "expect_identical.hpp"
 #include "perf/contention.hpp"
 #include "reference/heat.hpp"
 #include "reference/planners.hpp"
@@ -63,41 +64,6 @@ VmSpec make_spec(core::VcpuCount vcpus, core::MemMib mem, std::uint8_t ratio,
   s.level = OversubLevel{ratio};
   s.usage = usage;
   return s;
-}
-
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.opened_pms, b.opened_pms);
-  EXPECT_EQ(a.peak_active_pms, b.peak_active_pms);
-  EXPECT_EQ(a.migrations, b.migrations);
-  EXPECT_EQ(a.opened_per_cluster, b.opened_per_cluster);
-  EXPECT_EQ(a.placed_vms, b.placed_vms);
-  EXPECT_EQ(a.peak_vms, b.peak_vms);
-  // Exact (not NEAR) comparisons: bit-identical is the contract.
-  EXPECT_EQ(a.avg_unalloc_cpu_share, b.avg_unalloc_cpu_share);
-  EXPECT_EQ(a.avg_unalloc_mem_share, b.avg_unalloc_mem_share);
-  EXPECT_EQ(a.peak_unalloc_cpu_share, b.peak_unalloc_cpu_share);
-  EXPECT_EQ(a.peak_unalloc_mem_share, b.peak_unalloc_mem_share);
-  EXPECT_EQ(a.duration, b.duration);
-  EXPECT_EQ(a.avg_active_pms, b.avg_active_pms);
-  EXPECT_EQ(a.avg_alloc_cores, b.avg_alloc_cores);
-  EXPECT_EQ(a.mig_planned, b.mig_planned);
-  EXPECT_EQ(a.mig_committed, b.mig_committed);
-  EXPECT_EQ(a.mig_cancelled, b.mig_cancelled);
-  EXPECT_EQ(a.mig_rolled_back, b.mig_rolled_back);
-  EXPECT_EQ(a.mig_timed_out, b.mig_timed_out);
-  EXPECT_EQ(a.mig_degraded, b.mig_degraded);
-  EXPECT_EQ(a.mig_retries, b.mig_retries);
-  EXPECT_EQ(a.heat_updates, b.heat_updates);
-  EXPECT_EQ(a.itf_passes, b.itf_passes);
-  EXPECT_EQ(a.itf_hot_hosts, b.itf_hot_hosts);
-  EXPECT_EQ(a.itf_evictions, b.itf_evictions);
-  EXPECT_EQ(a.itf_applied, b.itf_applied);
-  EXPECT_EQ(a.itf_requested, b.itf_requested);
-  EXPECT_EQ(a.itf_skipped, b.itf_skipped);
-}
-
-void expect_itf_identity(const RunResult& r) {
-  EXPECT_EQ(r.itf_evictions, r.itf_applied + r.itf_requested + r.itf_skipped);
 }
 
 // --- heat buckets: epoch bumps only on crossings ----------------------------
@@ -914,7 +880,7 @@ TEST(InterferenceAcceptance, BitIdenticalAcrossShardsIndexThreads) {
     ASSERT_GT(reference.itf_passes, 0U);
     ASSERT_GT(reference.itf_hot_hosts, 0U);
     ASSERT_GT(reference.itf_evictions, 0U);
-    expect_itf_identity(reference);
+    expect_counter_identities(reference);
     if (engine) {
       EXPECT_EQ(reference.itf_applied, 0U);
       EXPECT_EQ(reference.itf_requested, reference.itf_evictions);

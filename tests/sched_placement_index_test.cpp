@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "expect_identical.hpp"
 #include "sched/filter.hpp"
 #include "sched/vcluster.hpp"
 #include "sim/experiment.hpp"
@@ -265,20 +266,7 @@ TEST(PlacementIndexDifferential, SweepResultsBitIdenticalIndexOnVsOff) {
     SCOPED_TRACE(sweep_on[i].distribution);
     for (const auto& [a, b] : {std::pair{&sweep_on[i].baseline, &sweep_off[i].baseline},
                                std::pair{&sweep_on[i].slackvm, &sweep_off[i].slackvm}}) {
-      EXPECT_EQ(a->opened_pms, b->opened_pms);
-      EXPECT_EQ(a->peak_active_pms, b->peak_active_pms);
-      EXPECT_EQ(a->migrations, b->migrations);
-      EXPECT_EQ(a->opened_per_cluster, b->opened_per_cluster);
-      EXPECT_EQ(a->placed_vms, b->placed_vms);
-      EXPECT_EQ(a->peak_vms, b->peak_vms);
-      // Exact (not NEAR) comparisons: bit-identical is the contract.
-      EXPECT_EQ(a->avg_unalloc_cpu_share, b->avg_unalloc_cpu_share);
-      EXPECT_EQ(a->avg_unalloc_mem_share, b->avg_unalloc_mem_share);
-      EXPECT_EQ(a->peak_unalloc_cpu_share, b->peak_unalloc_cpu_share);
-      EXPECT_EQ(a->peak_unalloc_mem_share, b->peak_unalloc_mem_share);
-      EXPECT_EQ(a->duration, b->duration);
-      EXPECT_EQ(a->avg_active_pms, b->avg_active_pms);
-      EXPECT_EQ(a->avg_alloc_cores, b->avg_alloc_cores);
+      sim::expect_identical(*a, *b);
     }
   }
 }

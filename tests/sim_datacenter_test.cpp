@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "expect_identical.hpp"
 #include "sched/policy.hpp"
 #include "sim/audit.hpp"
 #include "sim/shard.hpp"
@@ -183,11 +184,8 @@ void expect_reset_replays_like_new(const std::function<Datacenter()>& make,
       EXPECT_EQ(used.opened_pms(), 0U);
       EXPECT_EQ(used.vm_count(), 0U);
       const RunResult got = replay_sharded(used, second, options);
-      EXPECT_TRUE(got == expected)
-          << "round " << round << ": opened " << got.opened_pms << " vs "
-          << expected.opened_pms << ", avg active " << got.avg_active_pms << " vs "
-          << expected.avg_active_pms << ", migrations " << got.mig_committed << " vs "
-          << expected.mig_committed;
+      SCOPED_TRACE("round " + std::to_string(round));
+      expect_identical(got, expected);
       const std::vector<std::string> violations = audit(used);
       EXPECT_TRUE(violations.empty()) << violations.front();
     }
@@ -227,7 +225,7 @@ TEST(DatacenterReset, RandomPolicyRestartsItsStream) {
   Datacenter used = make();
   static_cast<void>(replay_sharded(used, reset_trace(14)));
   used.reset();
-  EXPECT_TRUE(replay_sharded(used, trace) == expected);
+  expect_identical(replay_sharded(used, trace), expected);
 }
 
 }  // namespace

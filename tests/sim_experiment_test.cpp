@@ -8,8 +8,10 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <type_traits>
 
 #include "core/error.hpp"
+#include "expect_identical.hpp"
 
 namespace slackvm::sim {
 namespace {
@@ -207,6 +209,59 @@ TEST(ExperimentTest, MeanResultOfEmptyAndSingle) {
   EXPECT_EQ(m.opened_pms, 7U);
   EXPECT_EQ(m.migrations, 3U);
   EXPECT_EQ(m.opened_per_cluster.at("2:1"), 7U);
+}
+
+TEST(ExperimentTest, MeanResultOfOneReturnsEveryFieldUnchanged) {
+  // Every field distinct and non-zero, so a field the mean dropped, swapped
+  // or rounded shows by name.
+  RunResult r;
+  std::size_t next = 1;
+  RunResult::for_each_field([&r, &next]<class T>(const char*, T RunResult::*field) {
+    if constexpr (std::is_same_v<T, std::size_t>) {
+      r.*field = next++;
+    } else if constexpr (std::is_same_v<T, double>) {
+      r.*field = static_cast<double>(next++) / 3.0;
+    } else {
+      r.*field = {{"shared", next}, {"2:1", next + 1}};
+      next += 2;
+    }
+  });
+  expect_identical(mean_result(std::array{r}), r);
+}
+
+TEST(ExperimentTest, MeanResultRoundsEveryCountHalfUp) {
+  // Count i holds 2i and 2i + 1: every mean lands on a half and rounds up.
+  // Doubles hold i and i + 1 (exact mean i + 0.5); the map's keys average
+  // per key, a key missing from one result counting as 0.
+  RunResult a;
+  RunResult b;
+  std::size_t i = 0;
+  RunResult::for_each_field([&a, &b, &i]<class T>(const char*, T RunResult::*field) {
+    if constexpr (std::is_same_v<T, std::size_t>) {
+      a.*field = 2 * i;
+      b.*field = 2 * i + 1;
+    } else if constexpr (std::is_same_v<T, double>) {
+      a.*field = static_cast<double>(i);
+      b.*field = static_cast<double>(i + 1);
+    } else {
+      a.*field = {{"shared", 1}};
+      b.*field = {{"shared", 2}, {"2:1", 3}};
+    }
+    ++i;
+  });
+  const RunResult m = mean_result(std::array{a, b});
+  i = 0;
+  RunResult::for_each_field([&m, &i]<class T>(const char* name, T RunResult::*field) {
+    SCOPED_TRACE(name);
+    if constexpr (std::is_same_v<T, std::size_t>) {
+      EXPECT_EQ(m.*field, 2 * i + 1);
+    } else if constexpr (std::is_same_v<T, double>) {
+      EXPECT_EQ(m.*field, static_cast<double>(i) + 0.5);
+    } else {
+      EXPECT_EQ(m.*field, (T{{"shared", 2}, {"2:1", 2}}));  // 1.5 and 1.5 -> 2
+    }
+    ++i;
+  });
 }
 
 TEST(ExperimentTest, SavingPctFormula) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "expect_identical.hpp"
 #include "sched/filter.hpp"
 #include "sched/vcluster.hpp"
 #include "sim/audit.hpp"
@@ -338,8 +339,7 @@ TEST(FaultInvariant, RandomizedSchedulesAuditCleanAcross16Seeds) {
 
     SCOPED_TRACE("seed " + std::to_string(seed));
     EXPECT_GT(result.host_failures, 0U);
-    EXPECT_EQ(result.evacuated_vms,
-              result.evac_replaced + result.evac_departed + result.degraded_vms);
+    expect_counter_identities(result);
     EXPECT_EQ(result.degraded_vms, 0U);  // elastic fleet: nothing degrades
     EXPECT_TRUE(audit(dc).empty());
   }
@@ -382,8 +382,7 @@ TEST(FaultDegraded, ExhaustedFixedFleetParksVictimsInDegradedQueue) {
   EXPECT_EQ(result.evac_replaced, 0U);
   EXPECT_EQ(result.degraded_vms, 2U);
   EXPECT_EQ(result.evac_retries, 2U * 3U);  // both victims exhaust 3 retries
-  EXPECT_EQ(result.evacuated_vms,
-            result.evac_replaced + result.evac_departed + result.degraded_vms);
+  expect_counter_identities(result);
 }
 
 TEST(FaultDegraded, VictimDepartingBeforeRetrySucceedsIsAbsorbed) {
@@ -418,8 +417,7 @@ TEST(FaultDegraded, VictimDepartingBeforeRetrySucceedsIsAbsorbed) {
   EXPECT_EQ(result.evacuated_vms, 2U);
   EXPECT_EQ(result.evac_departed, 2U);
   EXPECT_EQ(result.degraded_vms, 0U);
-  EXPECT_EQ(result.evacuated_vms,
-            result.evac_replaced + result.evac_departed + result.degraded_vms);
+  expect_counter_identities(result);
 }
 
 TEST(FaultDegraded, ArrivalsDeferThenPlaceAfterRepair) {
@@ -479,41 +477,6 @@ TEST(FaultDegraded, ArrivalsDeferThenPlaceAfterRepair) {
 
 // --- acceptance: bit-identical fault-heavy replays --------------------------
 
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.opened_pms, b.opened_pms);
-  EXPECT_EQ(a.peak_active_pms, b.peak_active_pms);
-  EXPECT_EQ(a.migrations, b.migrations);
-  EXPECT_EQ(a.opened_per_cluster, b.opened_per_cluster);
-  EXPECT_EQ(a.placed_vms, b.placed_vms);
-  EXPECT_EQ(a.peak_vms, b.peak_vms);
-  // Exact (not NEAR) comparisons: bit-identical is the contract.
-  EXPECT_EQ(a.avg_unalloc_cpu_share, b.avg_unalloc_cpu_share);
-  EXPECT_EQ(a.avg_unalloc_mem_share, b.avg_unalloc_mem_share);
-  EXPECT_EQ(a.peak_unalloc_cpu_share, b.peak_unalloc_cpu_share);
-  EXPECT_EQ(a.peak_unalloc_mem_share, b.peak_unalloc_mem_share);
-  EXPECT_EQ(a.duration, b.duration);
-  EXPECT_EQ(a.avg_active_pms, b.avg_active_pms);
-  EXPECT_EQ(a.avg_alloc_cores, b.avg_alloc_cores);
-  EXPECT_EQ(a.host_failures, b.host_failures);
-  EXPECT_EQ(a.host_repairs, b.host_repairs);
-  EXPECT_EQ(a.drained_hosts, b.drained_hosts);
-  EXPECT_EQ(a.evacuated_vms, b.evacuated_vms);
-  EXPECT_EQ(a.evac_replaced, b.evac_replaced);
-  EXPECT_EQ(a.evac_migrated, b.evac_migrated);
-  EXPECT_EQ(a.evac_retries, b.evac_retries);
-  EXPECT_EQ(a.evac_departed, b.evac_departed);
-  EXPECT_EQ(a.degraded_vms, b.degraded_vms);
-  EXPECT_EQ(a.deferred_arrivals, b.deferred_arrivals);
-  EXPECT_EQ(a.arrivals_dropped, b.arrivals_dropped);
-  EXPECT_EQ(a.mig_planned, b.mig_planned);
-  EXPECT_EQ(a.mig_committed, b.mig_committed);
-  EXPECT_EQ(a.mig_cancelled, b.mig_cancelled);
-  EXPECT_EQ(a.mig_rolled_back, b.mig_rolled_back);
-  EXPECT_EQ(a.mig_timed_out, b.mig_timed_out);
-  EXPECT_EQ(a.mig_degraded, b.mig_degraded);
-  EXPECT_EQ(a.mig_retries, b.mig_retries);
-}
-
 TEST(FaultAcceptance, HundredFailuresBitIdenticalAcrossParallelismAndIndex) {
   // The acceptance replay: a schedule injecting >= 100 applied host
   // failures (with drains) must produce exactly equal metrics — fault
@@ -549,8 +512,7 @@ TEST(FaultAcceptance, HundredFailuresBitIdenticalAcrossParallelismAndIndex) {
     const RunResult direct = replay(dc, trace, std::nullopt, nullptr, &resolved);
     ASSERT_GE(direct.host_failures, 100U);
     ASSERT_GT(direct.evacuated_vms, 0U);
-    EXPECT_EQ(direct.evacuated_vms, direct.evac_replaced + direct.evac_departed +
-                                        direct.degraded_vms);
+    expect_counter_identities(direct);
     EXPECT_TRUE(audit(dc).empty());
   }
 

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "core/units.hpp"
+#include "expect_identical.hpp"
 
 namespace slackvm::sim {
 namespace {
@@ -90,14 +93,7 @@ TEST(MetricsCollectorProperty, FinishIsIdempotent) {
   walk.collector.finish(walk.end_time, first);
   RunResult second;
   walk.collector.finish(walk.end_time, second);
-  EXPECT_EQ(first.avg_unalloc_cpu_share, second.avg_unalloc_cpu_share);
-  EXPECT_EQ(first.avg_unalloc_mem_share, second.avg_unalloc_mem_share);
-  EXPECT_EQ(first.peak_unalloc_cpu_share, second.peak_unalloc_cpu_share);
-  EXPECT_EQ(first.peak_unalloc_mem_share, second.peak_unalloc_mem_share);
-  EXPECT_EQ(first.duration, second.duration);
-  EXPECT_EQ(first.avg_active_pms, second.avg_active_pms);
-  EXPECT_EQ(first.avg_alloc_cores, second.avg_alloc_cores);
-  EXPECT_EQ(first.peak_vms, second.peak_vms);
+  expect_identical(first, second);
 }
 
 TEST(MetricsCollectorProperty, NoObservationsFinishToZero) {
@@ -121,6 +117,66 @@ TEST(MetricsCollectorProperty, FullyAllocatedClusterHasZeroUnallocShare) {
   EXPECT_DOUBLE_EQ(result.avg_unalloc_mem_share, 0.0);
   EXPECT_DOUBLE_EQ(result.peak_unalloc_cpu_share, 0.0);
   EXPECT_DOUBLE_EQ(result.peak_unalloc_mem_share, 0.0);
+}
+
+// --- counter identities ------------------------------------------------------
+
+/// Balanced counters: 5 = 2 + 1 + 2 victims, 6 = 1 + 1 + 1 + 1 + 2
+/// intents, 3 = 1 + 1 + 1 evictions.
+RunResult balanced_counters() {
+  RunResult r;
+  r.evacuated_vms = 5;
+  r.evac_replaced = 2;
+  r.evac_departed = 1;
+  r.degraded_vms = 2;
+  r.evac_migrated = 7;  // not part of any identity
+  r.mig_planned = 6;
+  r.mig_committed = 1;
+  r.mig_cancelled = 1;
+  r.mig_rolled_back = 1;
+  r.mig_timed_out = 1;
+  r.mig_degraded = 2;
+  r.mig_retries = 9;  // not part of any identity
+  r.itf_evictions = 3;
+  r.itf_applied = 1;
+  r.itf_requested = 1;
+  r.itf_skipped = 1;
+  return r;
+}
+
+TEST(CounterIdentities, BalancedCountersHaveNoViolations) {
+  EXPECT_TRUE(counter_identity_violations(RunResult{}).empty());
+  EXPECT_TRUE(counter_identity_violations(balanced_counters()).empty());
+}
+
+TEST(CounterIdentities, EachBrokenIdentityIsReportedByName) {
+  RunResult evac = balanced_counters();
+  ++evac.evacuated_vms;
+  EXPECT_EQ(counter_identity_violations(evac),
+            std::vector<std::string>{
+                "evacuated_vms == evac_replaced + evac_departed + degraded_vms: 6 != 5"});
+
+  RunResult mig = balanced_counters();
+  ++mig.mig_committed;
+  EXPECT_EQ(counter_identity_violations(mig),
+            std::vector<std::string>{"mig_planned == mig_committed + mig_cancelled + "
+                                     "mig_rolled_back + mig_timed_out + mig_degraded: 6 != 7"});
+
+  RunResult itf = balanced_counters();
+  itf.itf_skipped = 0;
+  EXPECT_EQ(counter_identity_violations(itf),
+            std::vector<std::string>{
+                "itf_evictions == itf_applied + itf_requested + itf_skipped: 3 != 2"});
+
+  RunResult all = balanced_counters();
+  all.degraded_vms = 0;
+  all.mig_planned = 0;
+  all.itf_evictions = 0;
+  const std::vector<std::string> violations = counter_identity_violations(all);
+  ASSERT_EQ(violations.size(), 3U);
+  EXPECT_EQ(violations[0].rfind("evacuated_vms == ", 0), 0U);
+  EXPECT_EQ(violations[1].rfind("mig_planned == ", 0), 0U);
+  EXPECT_EQ(violations[2].rfind("itf_evictions == ", 0), 0U);
 }
 
 }  // namespace

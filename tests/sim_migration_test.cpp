@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "expect_identical.hpp"
 #include "reference/planners.hpp"
 #include "sched/policy.hpp"
 #include "sched/rebalancer.hpp"
@@ -46,46 +47,6 @@ VmSpec make_spec(core::VcpuCount vcpus, core::MemMib mem, std::uint8_t ratio) {
   s.mem_mib = mem;
   s.level = OversubLevel{ratio};
   return s;
-}
-
-void expect_counter_identity(const RunResult& r) {
-  EXPECT_EQ(r.mig_planned, r.mig_committed + r.mig_cancelled + r.mig_rolled_back +
-                               r.mig_timed_out + r.mig_degraded);
-}
-
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.opened_pms, b.opened_pms);
-  EXPECT_EQ(a.peak_active_pms, b.peak_active_pms);
-  EXPECT_EQ(a.migrations, b.migrations);
-  EXPECT_EQ(a.opened_per_cluster, b.opened_per_cluster);
-  EXPECT_EQ(a.placed_vms, b.placed_vms);
-  EXPECT_EQ(a.peak_vms, b.peak_vms);
-  // Exact (not NEAR) comparisons: bit-identical is the contract.
-  EXPECT_EQ(a.avg_unalloc_cpu_share, b.avg_unalloc_cpu_share);
-  EXPECT_EQ(a.avg_unalloc_mem_share, b.avg_unalloc_mem_share);
-  EXPECT_EQ(a.peak_unalloc_cpu_share, b.peak_unalloc_cpu_share);
-  EXPECT_EQ(a.peak_unalloc_mem_share, b.peak_unalloc_mem_share);
-  EXPECT_EQ(a.duration, b.duration);
-  EXPECT_EQ(a.avg_active_pms, b.avg_active_pms);
-  EXPECT_EQ(a.avg_alloc_cores, b.avg_alloc_cores);
-  EXPECT_EQ(a.host_failures, b.host_failures);
-  EXPECT_EQ(a.host_repairs, b.host_repairs);
-  EXPECT_EQ(a.drained_hosts, b.drained_hosts);
-  EXPECT_EQ(a.evacuated_vms, b.evacuated_vms);
-  EXPECT_EQ(a.evac_replaced, b.evac_replaced);
-  EXPECT_EQ(a.evac_migrated, b.evac_migrated);
-  EXPECT_EQ(a.evac_retries, b.evac_retries);
-  EXPECT_EQ(a.evac_departed, b.evac_departed);
-  EXPECT_EQ(a.degraded_vms, b.degraded_vms);
-  EXPECT_EQ(a.deferred_arrivals, b.deferred_arrivals);
-  EXPECT_EQ(a.arrivals_dropped, b.arrivals_dropped);
-  EXPECT_EQ(a.mig_planned, b.mig_planned);
-  EXPECT_EQ(a.mig_committed, b.mig_committed);
-  EXPECT_EQ(a.mig_cancelled, b.mig_cancelled);
-  EXPECT_EQ(a.mig_rolled_back, b.mig_rolled_back);
-  EXPECT_EQ(a.mig_timed_out, b.mig_timed_out);
-  EXPECT_EQ(a.mig_degraded, b.mig_degraded);
-  EXPECT_EQ(a.mig_retries, b.mig_retries);
 }
 
 // --- reservation accounting -------------------------------------------------
@@ -175,7 +136,7 @@ struct EngineHarness {
     EXPECT_EQ(engine->in_flight(), 0U);
     EXPECT_EQ(engine->pending_intents(), 0U);
     EXPECT_TRUE(engine->audit().empty());
-    expect_counter_identity(result);
+    expect_counter_identities(result);
     EXPECT_TRUE(audit(dc).empty());
   }
 };
@@ -435,7 +396,7 @@ TEST(MigrationReplay, EngineLoopCommitsFlightsAndKeepsTheIdentity) {
   EXPECT_GT(result.mig_planned, 0U);
   EXPECT_GT(result.mig_committed, 0U);
   EXPECT_GT(result.host_failures, 0U);
-  expect_counter_identity(result);
+  expect_counter_identities(result);
   EXPECT_TRUE(audit(dc).empty());
   // The naive-scan escape hatch replays the identical decision sequence.
   Datacenter naive = Datacenter::shared(kWorker, sched::make_progress_policy);
@@ -493,7 +454,7 @@ TEST(MigrationReplay, DirectedFaultsAtEveryPhaseStayIdenticalAndAudited) {
     EXPECT_GT(result.mig_planned, 0U);
     EXPECT_GT(result.host_failures, 0U);
     EXPECT_GT(result.drained_hosts, 0U);
-    expect_counter_identity(result);
+    expect_counter_identities(result);
     EXPECT_TRUE(audit(dc).empty());
     if (reference) {
       expect_identical(*reference, result);
@@ -641,7 +602,7 @@ TEST(MigrationAcceptance, HundredFailuresBitIdenticalAcrossShardsIndexThreads) {
   ASSERT_GE(reference.host_failures, 100U);
   ASSERT_GT(reference.mig_planned, 0U);
   ASSERT_GT(reference.mig_committed, 0U);
-  expect_counter_identity(reference);
+  expect_counter_identities(reference);
   EXPECT_TRUE(audit(reference_dc).empty());
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {

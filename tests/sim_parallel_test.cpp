@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "expect_identical.hpp"
 #include "sched/policy.hpp"
 #include "sim/audit.hpp"
 #include "sim/experiment.hpp"
@@ -34,18 +35,6 @@ ExperimentConfig small_config(std::size_t repetitions) {
   cfg.generator.seed = 42;
   cfg.repetitions = repetitions;
   return cfg;
-}
-
-// Bit-exact equality on every field (RunResult's operator== compares the
-// doubles exactly: the guarantee is identical bits, not approximate
-// agreement). The counters are printed on a mismatch.
-void expect_identical(const RunResult& expected, const RunResult& actual) {
-  EXPECT_TRUE(expected == actual)
-      << "opened " << expected.opened_pms << " vs " << actual.opened_pms << ", placed "
-      << expected.placed_vms << " vs " << actual.placed_vms << ", failures "
-      << expected.host_failures << " vs " << actual.host_failures << ", mig_committed "
-      << expected.mig_committed << " vs " << actual.mig_committed << ", itf_evictions "
-      << expected.itf_evictions << " vs " << actual.itf_evictions;
 }
 
 void expect_identical(const PackingComparison& expected,

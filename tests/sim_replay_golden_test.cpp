@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -48,48 +49,17 @@ void add(std::string& out, const char* name, double value) {
   out += buf;
 }
 
+void add(std::string& out, const char* name,
+         const std::map<std::string, std::size_t>& per_key) {
+  for (const auto& [key, value] : per_key) {
+    add(out, (std::string(name) + '.' + key).c_str(), value);
+  }
+}
+
 std::string describe(const RunResult& r) {
   std::string out;
-  add(out, "opened_pms", r.opened_pms);
-  add(out, "peak_active_pms", r.peak_active_pms);
-  add(out, "migrations", r.migrations);
-  for (const auto& [name, opened] : r.opened_per_cluster) {
-    add(out, ("opened_per_cluster." + name).c_str(), opened);
-  }
-  add(out, "placed_vms", r.placed_vms);
-  add(out, "peak_vms", r.peak_vms);
-  add(out, "avg_unalloc_cpu_share", r.avg_unalloc_cpu_share);
-  add(out, "avg_unalloc_mem_share", r.avg_unalloc_mem_share);
-  add(out, "peak_unalloc_cpu_share", r.peak_unalloc_cpu_share);
-  add(out, "peak_unalloc_mem_share", r.peak_unalloc_mem_share);
-  add(out, "duration", r.duration);
-  add(out, "avg_active_pms", r.avg_active_pms);
-  add(out, "avg_alloc_cores", r.avg_alloc_cores);
-  add(out, "host_failures", r.host_failures);
-  add(out, "host_repairs", r.host_repairs);
-  add(out, "drained_hosts", r.drained_hosts);
-  add(out, "evacuated_vms", r.evacuated_vms);
-  add(out, "evac_replaced", r.evac_replaced);
-  add(out, "evac_migrated", r.evac_migrated);
-  add(out, "evac_retries", r.evac_retries);
-  add(out, "evac_departed", r.evac_departed);
-  add(out, "degraded_vms", r.degraded_vms);
-  add(out, "deferred_arrivals", r.deferred_arrivals);
-  add(out, "arrivals_dropped", r.arrivals_dropped);
-  add(out, "mig_planned", r.mig_planned);
-  add(out, "mig_committed", r.mig_committed);
-  add(out, "mig_cancelled", r.mig_cancelled);
-  add(out, "mig_rolled_back", r.mig_rolled_back);
-  add(out, "mig_timed_out", r.mig_timed_out);
-  add(out, "mig_degraded", r.mig_degraded);
-  add(out, "mig_retries", r.mig_retries);
-  add(out, "heat_updates", r.heat_updates);
-  add(out, "itf_passes", r.itf_passes);
-  add(out, "itf_hot_hosts", r.itf_hot_hosts);
-  add(out, "itf_evictions", r.itf_evictions);
-  add(out, "itf_applied", r.itf_applied);
-  add(out, "itf_requested", r.itf_requested);
-  add(out, "itf_skipped", r.itf_skipped);
+  RunResult::for_each_field(
+      [&out, &r](const char* name, auto field) { add(out, name, r.*field); });
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_identical.hpp"
 #include "sched/policy.hpp"
 #include "workload/generator.hpp"
 
@@ -89,9 +90,7 @@ TEST(ReplayTest, DeterministicAcrossRuns) {
   Datacenter b = Datacenter::shared(kWorker, sched::make_progress_policy);
   const RunResult ra = replay(a, trace);
   const RunResult rb = replay(b, trace);
-  EXPECT_EQ(ra.opened_pms, rb.opened_pms);
-  EXPECT_DOUBLE_EQ(ra.avg_unalloc_cpu_share, rb.avg_unalloc_cpu_share);
-  EXPECT_DOUBLE_EQ(ra.avg_unalloc_mem_share, rb.avg_unalloc_mem_share);
+  expect_identical(ra, rb);
 }
 
 TEST(ReplayTest, FirstFitAndProgressBothPlaceAll) {

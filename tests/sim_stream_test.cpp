@@ -15,6 +15,7 @@
 #include <string>
 
 #include "core/error.hpp"
+#include "expect_identical.hpp"
 #include "sched/policy.hpp"
 #include "sim/audit.hpp"
 #include "sim/experiment.hpp"
@@ -36,35 +37,6 @@ constexpr std::size_t kShardCounts[] = {1, 2, 8};
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
 
 const core::Resources kWorker{32, gib(128)};
-
-// Bit-exact equality on every RunResult field (EXPECT_EQ on the doubles is
-// deliberate: the guarantee is identical bits, not approximate agreement).
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.opened_pms, b.opened_pms);
-  EXPECT_EQ(a.peak_active_pms, b.peak_active_pms);
-  EXPECT_EQ(a.migrations, b.migrations);
-  EXPECT_EQ(a.opened_per_cluster, b.opened_per_cluster);
-  EXPECT_EQ(a.placed_vms, b.placed_vms);
-  EXPECT_EQ(a.peak_vms, b.peak_vms);
-  EXPECT_EQ(a.avg_unalloc_cpu_share, b.avg_unalloc_cpu_share);
-  EXPECT_EQ(a.avg_unalloc_mem_share, b.avg_unalloc_mem_share);
-  EXPECT_EQ(a.peak_unalloc_cpu_share, b.peak_unalloc_cpu_share);
-  EXPECT_EQ(a.peak_unalloc_mem_share, b.peak_unalloc_mem_share);
-  EXPECT_EQ(a.duration, b.duration);
-  EXPECT_EQ(a.avg_active_pms, b.avg_active_pms);
-  EXPECT_EQ(a.avg_alloc_cores, b.avg_alloc_cores);
-  EXPECT_EQ(a.host_failures, b.host_failures);
-  EXPECT_EQ(a.host_repairs, b.host_repairs);
-  EXPECT_EQ(a.drained_hosts, b.drained_hosts);
-  EXPECT_EQ(a.evacuated_vms, b.evacuated_vms);
-  EXPECT_EQ(a.evac_replaced, b.evac_replaced);
-  EXPECT_EQ(a.evac_migrated, b.evac_migrated);
-  EXPECT_EQ(a.evac_retries, b.evac_retries);
-  EXPECT_EQ(a.evac_departed, b.evac_departed);
-  EXPECT_EQ(a.degraded_vms, b.degraded_vms);
-  EXPECT_EQ(a.deferred_arrivals, b.deferred_arrivals);
-  EXPECT_EQ(a.arrivals_dropped, b.arrivals_dropped);
-}
 
 workload::GeneratorConfig make_generator_config(std::size_t population,
                                                 std::uint64_t seed) {
