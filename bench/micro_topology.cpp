@@ -4,8 +4,10 @@
 //
 // Two entry points:
 //   micro_topology [google-benchmark flags]      # the BM_* suites below
-//   micro_topology --json [--ops N]              # machine-readable naive-vs-
-//                                                # fast local-engine churn
+//   micro_topology --json [--ops N]              # machine-readable local-
+//                                                # scheduler churn and
+//                                                # selection-vs-reference
+//                                                # costs
 //                                                # (BENCH_micro_topology.json)
 #include <benchmark/benchmark.h>
 
@@ -21,14 +23,15 @@
 #include "core/rng.hpp"
 #include "local/placement.hpp"
 #include "local/vnode_manager.hpp"
+#include "reference/local_cpus.hpp"
 #include "topology/builders.hpp"
 #include "topology/distance.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation probe: counts every operator-new so the --json mode can
-// demonstrate that the fast selection path allocates a constant amount per
-// call (the returned CpuSet) — i.e. zero allocations in the grow/release
-// inner loops — while the naive reference allocates per inner iteration.
+// demonstrate that the selection path allocates a constant amount per call
+// (the returned CpuSet) — i.e. zero allocations in the grow/release inner
+// loops — while the naive reference allocates per inner iteration.
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
@@ -92,12 +95,9 @@ void BM_DistanceMatrixShared(benchmark::State& state) {
 BENCHMARK(BM_DistanceMatrixShared);
 
 void BM_VNodeDeployRemove(benchmark::State& state) {
-  // One deploy + one remove at steady state on a loaded dual-EPYC PM;
-  // range(0) picks the placement engine (0 = naive reference, 1 = fast).
+  // One deploy + one remove at steady state on a loaded dual-EPYC PM.
   const topo::CpuTopology epyc = topo::make_dual_epyc_7662();
-  const auto engine = state.range(0) != 0 ? local::PlacementEngine::kFast
-                                          : local::PlacementEngine::kNaive;
-  local::VNodeManager manager(epyc, local::PoolingPolicy::kNone, 1.0, engine);
+  local::VNodeManager manager(epyc, local::PoolingPolicy::kNone);
   core::SplitMix64 rng(2);
   std::uint64_t id = 1;
   core::VmSpec spec;
@@ -117,7 +117,7 @@ void BM_VNodeDeployRemove(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_VNodeDeployRemove)->Arg(0)->Arg(1)->ArgNames({"fast"});
+BENCHMARK(BM_VNodeDeployRemove);
 
 void BM_SeedSelection(benchmark::State& state) {
   const topo::CpuTopology epyc = topo::make_dual_epyc_7662();
@@ -137,9 +137,10 @@ void BM_SeedSelection(benchmark::State& state) {
 BENCHMARK(BM_SeedSelection);
 
 // ---------------------------------------------------------------------------
-// --json mode: naive-vs-fast deploy+remove churn through the full local
-// scheduler, per builder topology, plus the allocation probe and the
-// matrix-interning stats (BENCH_micro_topology.json).
+// --json mode: deploy+remove churn through the full local scheduler per
+// builder topology, the per-call cost of each selection function against
+// the per-step-rescan reference (tests/reference/local_cpus.hpp), the
+// allocation probe and the matrix-interning stats (BENCH_micro_topology.json).
 
 using Clock = std::chrono::steady_clock;
 
@@ -151,18 +152,16 @@ core::VmSpec churn_spec(core::SplitMix64& rng) {
   return spec;
 }
 
-struct ChurnResult {
-  std::size_t pairs = 0;          ///< timed deploy+remove pairs
-  double pairs_per_sec = 0.0;
-};
+double per_sec(std::size_t count, Clock::time_point t0, Clock::time_point t1) {
+  const double seconds = std::chrono::duration<double>(t1 - t0).count();
+  return seconds > 0.0 ? static_cast<double>(count) / seconds : 0.0;
+}
 
 /// Steady-state churn: preload a PM to ~60% of its threads, then time
-/// `pairs` remove+deploy pairs. Both engines see the identical op sequence
-/// (same seed), so the comparison is apples-to-apples — and the engines are
-/// differential-tested to produce bit-identical states anyway.
-ChurnResult measure_churn(const topo::CpuTopology& machine,
-                          local::PlacementEngine engine, std::size_t pairs) {
-  local::VNodeManager manager(machine, local::PoolingPolicy::kUpgrade, 1.0, engine);
+/// `pairs` remove+deploy pairs (fixed seed, so every run replays the same
+/// op sequence). Returns pairs per second.
+double measure_churn(const topo::CpuTopology& machine, std::size_t pairs) {
+  local::VNodeManager manager(machine, local::PoolingPolicy::kUpgrade);
   core::SplitMix64 rng(42);
   std::vector<core::VmId> alive;
   std::uint64_t id = 1;
@@ -176,8 +175,6 @@ ChurnResult measure_churn(const topo::CpuTopology& machine,
     alive.push_back(vm);
   }
 
-  ChurnResult result;
-  result.pairs = pairs;
   const auto t0 = Clock::now();
   for (std::size_t i = 0; i < pairs; ++i) {
     if (alive.empty()) {
@@ -197,16 +194,48 @@ ChurnResult measure_churn(const topo::CpuTopology& machine,
       alive.pop_back();
     }
   }
-  const auto t1 = Clock::now();
-  const double seconds = std::chrono::duration<double>(t1 - t0).count();
-  result.pairs_per_sec =
-      seconds > 0.0 ? static_cast<double>(pairs) / seconds : 0.0;
-  return result;
+  return per_sec(pairs, t0, Clock::now());
 }
 
-/// Heap allocations per selection call. The fast path must stay flat in
-/// `count` (only the returned CpuSet allocates); the naive reference grows
-/// with steps × pool size (one as_vector per inner scan).
+/// One PM state for the function-level comparison: another vNode owns the
+/// first half of the CPUs, the node under test the next `kNodeCpus`, and
+/// the rest is free. Extension and seed take `kStepCpus` CPUs; release
+/// gives back `kStepCpus` of the node.
+struct SelectionState {
+  static constexpr std::size_t kNodeCpus = 16;
+  static constexpr std::size_t kStepCpus = 8;
+  topo::CpuSet occupied;
+  topo::CpuSet node;
+  topo::CpuSet free_cpus;
+
+  explicit SelectionState(const topo::CpuTopology& machine)
+      : occupied(machine.cpu_count()), node(machine.cpu_count()),
+        free_cpus(machine.all_cpus()) {
+    const auto half = static_cast<topo::CpuId>(machine.cpu_count() / 2);
+    for (topo::CpuId cpu = 0; cpu < half; ++cpu) {
+      occupied.set(cpu);
+    }
+    for (topo::CpuId cpu = half; cpu < half + kNodeCpus; ++cpu) {
+      node.set(cpu);
+    }
+    free_cpus -= occupied;
+    free_cpus -= node;
+  }
+};
+
+/// Calls per second of `call`, run `calls` times.
+template <typename Call>
+double calls_per_sec(std::size_t calls, Call&& call) {
+  const auto t0 = Clock::now();
+  for (std::size_t i = 0; i < calls; ++i) {
+    call();
+  }
+  return per_sec(calls, t0, Clock::now());
+}
+
+/// Heap allocations per grow call. The fast path must stay flat in `count`
+/// (only the returned CpuSet allocates); the reference grows with steps ×
+/// pool size (one as_vector per inner scan).
 double allocs_per_call(const topo::CpuTopology& machine, bool fast,
                        std::size_t count, std::size_t calls) {
   const auto dm = topo::DistanceMatrixCache::shared(machine);
@@ -226,7 +255,7 @@ double allocs_per_call(const topo::CpuTopology& machine, bool fast,
           local::choose_extension_cpus(*dm, free_cpus, current, count, scratch));
     } else {
       benchmark::DoNotOptimize(
-          local::naive::choose_extension_cpus(*dm, free_cpus, current, count));
+          reference::choose_extension_cpus(*dm, free_cpus, current, count));
     }
   }
   const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
@@ -246,35 +275,70 @@ int run_json(std::size_t ops) {
   std::printf("{\n  \"bench\": \"micro_topology\",\n  \"results\": [\n");
   bool first = true;
   for (const NamedTopo& t : topologies) {
-    const ChurnResult naive =
-        measure_churn(t.machine, local::PlacementEngine::kNaive, ops);
-    const ChurnResult fast =
-        measure_churn(t.machine, local::PlacementEngine::kFast, ops);
-    std::printf("%s    {\"topology\": \"%s\", \"mode\": \"naive\", \"pairs\": %zu, "
-                "\"deploy_remove_pairs_per_sec\": %.0f},\n",
-                first ? "" : ",\n", t.name, naive.pairs, naive.pairs_per_sec);
-    std::printf("    {\"topology\": \"%s\", \"mode\": \"fast\", \"pairs\": %zu, "
-                "\"deploy_remove_pairs_per_sec\": %.0f},\n",
-                t.name, fast.pairs, fast.pairs_per_sec);
-    std::printf("    {\"topology\": \"%s\", \"mode\": \"speedup\", "
-                "\"deploy_remove\": %.2f}",
-                t.name,
-                naive.pairs_per_sec > 0.0 ? fast.pairs_per_sec / naive.pairs_per_sec
-                                          : 0.0);
+    // One untimed pass first, so the timed one starts with the matrix
+    // interned and the heap and clocks warm.
+    (void)measure_churn(t.machine, ops);
+    std::printf("%s    {\"topology\": \"%s\", \"pairs\": %zu, "
+                "\"deploy_remove_pairs_per_sec\": %.0f}",
+                first ? "" : ",\n", t.name, ops, measure_churn(t.machine, ops));
     first = false;
   }
 
+  // Function level: each selection from a fresh scratch frontier (the fast
+  // path's per-call rebuild included) against the reference's rescans.
+  const std::size_t calls = ops / 10 + 1;
+  constexpr std::size_t kStep = SelectionState::kStepCpus;
+  std::printf("\n  ],\n  \"selection_calls_per_sec\": [\n");
+  first = true;
+  for (const NamedTopo& t : topologies) {
+    const auto dm = topo::DistanceMatrixCache::shared(t.machine);
+    const SelectionState st(t.machine);
+    local::PlacementScratch scratch;
+    const auto report = [&](const char* op, double ref, double fast) {
+      std::printf("%s    {\"topology\": \"%s\", \"op\": \"%s\", \"cpus\": %zu, "
+                  "\"reference\": %.0f, \"fast\": %.0f, \"speedup\": %.2f}",
+                  first ? "" : ",\n", t.name, op, kStep, ref, fast,
+                  ref > 0.0 ? fast / ref : 0.0);
+      first = false;
+    };
+    report("extension", calls_per_sec(calls, [&] {
+             benchmark::DoNotOptimize(
+                 reference::choose_extension_cpus(*dm, st.free_cpus, st.node, kStep));
+           }),
+           calls_per_sec(calls, [&] {
+             benchmark::DoNotOptimize(local::choose_extension_cpus(
+                 *dm, st.free_cpus, st.node, kStep, scratch));
+           }));
+    report("seed", calls_per_sec(calls, [&] {
+             benchmark::DoNotOptimize(
+                 reference::choose_seed_cpus(*dm, st.free_cpus, st.occupied, kStep));
+           }),
+           calls_per_sec(calls, [&] {
+             benchmark::DoNotOptimize(local::choose_seed_cpus(
+                 *dm, st.free_cpus, st.occupied, kStep, scratch));
+           }));
+    report("release", calls_per_sec(calls, [&] {
+             benchmark::DoNotOptimize(
+                 reference::choose_release_cpus(*dm, st.node, kStep));
+           }),
+           calls_per_sec(calls, [&] {
+             benchmark::DoNotOptimize(
+                 local::choose_release_cpus(*dm, st.node, kStep, scratch));
+           }));
+  }
+
   // Allocation discipline of the grow loop: flat for the fast path,
-  // step-dependent for the naive reference.
+  // step-dependent for the reference.
   const topo::CpuTopology epyc = topo::make_dual_epyc_7662();
   const std::size_t probe_calls = 200;
   std::printf("\n  ],\n  \"grow_heap_allocs_per_call\": [\n");
   first = true;
   for (const std::size_t count : {4UL, 16UL}) {
-    const double naive_allocs = allocs_per_call(epyc, /*fast=*/false, count, probe_calls);
+    const double reference_allocs =
+        allocs_per_call(epyc, /*fast=*/false, count, probe_calls);
     const double fast_allocs = allocs_per_call(epyc, /*fast=*/true, count, probe_calls);
-    std::printf("%s    {\"grow_cpus\": %zu, \"naive\": %.1f, \"fast\": %.1f}",
-                first ? "" : ",\n", count, naive_allocs, fast_allocs);
+    std::printf("%s    {\"grow_cpus\": %zu, \"reference\": %.1f, \"fast\": %.1f}",
+                first ? "" : ",\n", count, reference_allocs, fast_allocs);
     first = false;
   }
 

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
 
   {
     std::ofstream out(out_path);
-    trace.write_csv(out);
+    workload::write_csv_fast(trace, out);
   }
   std::printf("trace written to %s\n", out_path);
 

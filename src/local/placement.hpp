@@ -10,23 +10,21 @@
 //    surviving set.
 //
 // All selections are deterministic: ties break on the lowest CPU id. This
-// tie-break is part of the engine's contract — the incremental fast path
-// below and the naive reference (namespace naive) must agree bit-for-bit,
-// which the differential churn tests assert.
+// tie-break is part of the contract — the per-step-rescan reference in
+// tests/reference/local_cpus.hpp must agree with these functions
+// bit-for-bit, which the differential tests assert.
 //
-// The default implementations are incremental: instead of rescanning every
-// pool CPU against the whole accumulated set at each greedy step
-// (O(steps·|pool|·|acc|), one heap allocation per inner iteration), they
-// maintain Prim-style distance frontiers — min_dist[cpu] = min distance to
-// the growing set, total_dist[cpu] = sum of distances to the surviving set —
-// relaxed with only the one matrix row of the CPU added or removed per step
-// (O(steps·n), zero allocations in the inner loops when a PlacementScratch
-// is reused). A caller that owns a DistanceFrontier per vNode (VNodeManager
-// does) carries the frontiers across calls, so steady-state resizes skip
-// the O(|set|·n) rebuild entirely: the sum frontier is exact under both
-// additions and removals, the min frontier under additions by relaxation
-// and under removals through per-entry witness counts. The original
-// implementations live on in namespace naive as the differential reference.
+// Every selection runs over a DistanceFrontier — min_dist[cpu] = min
+// distance to the growing set, total_dist[cpu] = sum of distances to the
+// surviving set — relaxed with only the one matrix row of the CPU added or
+// removed per step (O(steps·n), zero allocations in the inner loops when a
+// PlacementScratch is reused). A caller that owns a frontier per vNode
+// (VNodeManager does, and seeds each new node straight into its own) carries
+// it across calls, so steady-state resizes skip the O(|set|·n) rebuild: the
+// sum frontier is exact under both additions and removals, the min frontier
+// under additions by relaxation and under removals through per-entry witness
+// counts. A call without one runs on the frontier held in the scratch,
+// rebuilt on entry.
 #pragma once
 
 #include <cstdint>
@@ -37,18 +35,6 @@
 #include "topology/distance.hpp"
 
 namespace slackvm::local {
-
-/// Reusable frontier buffers for the incremental fast path. A caller that
-/// holds one across invocations (VNodeManager does) makes the selection
-/// loops allocation-free at steady state; the buffers are resized to the
-/// CPU universe on first use and never shrink. Treat the contents as opaque
-/// scratch — they carry no state between calls.
-struct PlacementScratch {
-  std::vector<std::uint32_t> best_dist;   ///< grow frontier: min distance to set
-  std::vector<std::uint64_t> total_dist;  ///< release frontier: total distance
-  topo::CpuSet pool;                      ///< working copy of the candidate pool
-  topo::CpuSet acc;                       ///< working copy of the growing set
-};
 
 /// Persistent distance frontier of one vNode, carried across selection
 /// calls by the owner (VNodeManager keeps one per vNode). Both arrays are
@@ -74,6 +60,18 @@ struct DistanceFrontier {
   bool total_valid = false;
 };
 
+/// Reusable buffers of the selection loops. A caller that holds one across
+/// invocations (VNodeManager does) makes them allocation-free at steady
+/// state; the buffers are resized to the CPU universe on first use and never
+/// shrink. Treat the contents as opaque scratch — they carry no state
+/// between calls.
+struct PlacementScratch {
+  std::vector<std::uint32_t> best_dist;  ///< seed pass: min distance to the occupied set
+  DistanceFrontier frontier;             ///< the frontier of a call given none
+  topo::CpuSet pool;                     ///< working copy of the candidate pool
+  topo::CpuSet acc;                      ///< working copy of the growing set
+};
+
 /// Pick `count` CPUs from `free_cpus` to extend `current`, greedily
 /// minimizing the Algorithm-1 distance to the growing set (lowest CPU id on
 /// equal distance). Returns std::nullopt when `free_cpus` has fewer than
@@ -89,9 +87,12 @@ struct DistanceFrontier {
 /// maximizes the distance to `occupied` (CPUs of all other vNodes; lowest
 /// CPU id on equal distance); remaining CPUs are chosen as the closest to
 /// the new node. With nothing occupied the seed is the lowest free CPU.
+/// `frontier`, when given, is overwritten to describe the seeded set (its
+/// min half; the sum half is left to be built by the first release).
 [[nodiscard]] std::optional<topo::CpuSet> choose_seed_cpus(
     const topo::DistanceMatrix& dm, const topo::CpuSet& free_cpus,
-    const topo::CpuSet& occupied, std::size_t count, PlacementScratch& scratch);
+    const topo::CpuSet& occupied, std::size_t count, PlacementScratch& scratch,
+    DistanceFrontier* frontier = nullptr);
 
 /// Pick `count` CPUs of `current` to release, greedily removing the CPU with
 /// the largest total distance to the CPUs that remain (lowest CPU id on
@@ -116,25 +117,5 @@ struct DistanceFrontier {
                                                            std::size_t count);
 [[nodiscard]] topo::CpuSet choose_release_cpus(const topo::DistanceMatrix& dm,
                                                const topo::CpuSet& current, std::size_t count);
-
-/// The original per-step-rescan implementations, kept verbatim as the
-/// differential reference the fast path is proven against (the same pattern
-/// the placement index uses for host selection, DESIGN.md §5). Semantics —
-/// including the lowest-CPU-id tie-break — are the specification.
-namespace naive {
-
-[[nodiscard]] std::optional<topo::CpuSet> choose_extension_cpus(
-    const topo::DistanceMatrix& dm, const topo::CpuSet& free_cpus,
-    const topo::CpuSet& current, std::size_t count);
-
-[[nodiscard]] std::optional<topo::CpuSet> choose_seed_cpus(const topo::DistanceMatrix& dm,
-                                                           const topo::CpuSet& free_cpus,
-                                                           const topo::CpuSet& occupied,
-                                                           std::size_t count);
-
-[[nodiscard]] topo::CpuSet choose_release_cpus(const topo::DistanceMatrix& dm,
-                                               const topo::CpuSet& current, std::size_t count);
-
-}  // namespace naive
 
 }  // namespace slackvm::local

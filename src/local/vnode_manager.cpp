@@ -7,12 +7,11 @@
 namespace slackvm::local {
 
 VNodeManager::VNodeManager(const topo::CpuTopology& topo, PoolingPolicy pooling,
-                           double mem_oversub, PlacementEngine engine)
+                           double mem_oversub)
     : topo_(topo),
       distances_(topo::DistanceMatrixCache::shared(topo)),
       pooling_(pooling),
       mem_oversub_(mem_oversub),
-      engine_(engine),
       free_cpus_(topo.all_cpus()),
       occupied_cpus_(topo.cpu_count()) {
   SLACKVM_ASSERT(mem_oversub >= 1.0);
@@ -113,12 +112,12 @@ std::optional<DeployResult> VNodeManager::deploy(core::VmId id, const core::VmSp
 
   auto it = vnodes_.find(target->vnode);
   if (it == vnodes_.end()) {
-    // Create a new vNode seeded as far as possible from existing ones.
+    // Create a new vNode seeded as far as possible from existing ones; the
+    // seed selection builds the node's persistent frontier as it goes, so
+    // the node's first grow starts from it instead of a rebuild.
     const core::CoreCount needed = spec.level.cores_for(spec.vcpus);
-    const auto seed =
-        engine_ == PlacementEngine::kFast
-            ? choose_seed_cpus(*distances_, free_cpus_, occupied_cpus_, needed, scratch_)
-            : naive::choose_seed_cpus(*distances_, free_cpus_, occupied_cpus_, needed);
+    const auto seed = choose_seed_cpus(*distances_, free_cpus_, occupied_cpus_, needed,
+                                       scratch_, &frontiers_[next_id_]);
     SLACKVM_ASSERT(seed.has_value());
     VNode node(next_id_, spec.level, topo_.cpu_count());
     node.assign_cpus(*seed);
@@ -187,27 +186,19 @@ std::optional<std::vector<PinUpdate>> VNodeManager::retune(VNodeId vnode,
 std::vector<PinUpdate> VNodeManager::resize_node(VNode& node) {
   const core::CoreCount needed = node.required_cores();
   const core::CoreCount have = node.core_count();
-  // The persistent frontier of this vNode (fast engine only): built lazily
-  // on the node's first resize, then carried across every grow/release so
-  // steady-state resizes cost O(steps·n) with no rebuild.
-  DistanceFrontier* frontier =
-      engine_ == PlacementEngine::kFast ? &frontiers_[node.id()] : nullptr;
+  // The persistent frontier of this vNode, seeded with the node and carried
+  // across every grow/release so steady-state resizes cost O(steps·n) with
+  // no rebuild.
+  DistanceFrontier& frontier = frontiers_.at(node.id());
   if (needed > have) {
-    const auto extension =
-        engine_ == PlacementEngine::kFast
-            ? choose_extension_cpus(*distances_, free_cpus_, node.cpus(),
-                                    needed - have, scratch_, frontier)
-            : naive::choose_extension_cpus(*distances_, free_cpus_, node.cpus(),
-                                           needed - have);
+    const auto extension = choose_extension_cpus(*distances_, free_cpus_, node.cpus(),
+                                                 needed - have, scratch_, &frontier);
     SLACKVM_ASSERT(extension.has_value());  // pick_target guaranteed room
     claim_cpus(*extension);
     node.assign_cpus(node.cpus() | *extension);
   } else if (needed < have) {
-    const topo::CpuSet released =
-        engine_ == PlacementEngine::kFast
-            ? choose_release_cpus(*distances_, node.cpus(), have - needed, scratch_,
-                                  frontier)
-            : naive::choose_release_cpus(*distances_, node.cpus(), have - needed);
+    const topo::CpuSet released = choose_release_cpus(*distances_, node.cpus(),
+                                                      have - needed, scratch_, &frontier);
     release_cpus(released);
     node.assign_cpus(node.cpus() - released);
   }
@@ -266,40 +257,38 @@ void VNodeManager::check_invariants() const {
     for (core::VmId vm : node.vm_ids()) {
       SLACKVM_ASSERT(vm_to_vnode_.at(vm) == id);
     }
-    // A valid persistent frontier must match a from-scratch recomputation —
-    // the work-avoidance cache may never drift from the node's CPU set.
-    const auto frontier_it = frontiers_.find(id);
-    if (frontier_it != frontiers_.end()) {
-      const DistanceFrontier& frontier = frontier_it->second;
-      if (frontier.min_valid) {
-        SLACKVM_ASSERT(frontier.min_dist.size() == topo_.cpu_count());
-        SLACKVM_ASSERT(frontier.min_count.size() == topo_.cpu_count());
-        for (std::size_t cpu = 0; cpu < topo_.cpu_count(); ++cpu) {
-          const auto min =
-              distances_->min_distance_to(static_cast<topo::CpuId>(cpu), node.cpus());
-          SLACKVM_ASSERT(frontier.min_dist[cpu] == min);
-          std::uint32_t witnesses = 0;
-          node.cpus().for_each_cpu([&](topo::CpuId member) {
-            if ((*distances_)(static_cast<topo::CpuId>(cpu), member) == min) {
-              ++witnesses;
-            }
-          });
-          SLACKVM_ASSERT(frontier.min_count[cpu] == witnesses);
+    // Every node's frontier (its min half always, its sum half once a
+    // release built it) must match a from-scratch recomputation — the
+    // work-avoidance cache may never drift from the node's CPU set.
+    const DistanceFrontier& frontier = frontiers_.at(id);
+    SLACKVM_ASSERT(frontier.min_valid);
+    SLACKVM_ASSERT(frontier.min_dist.size() == topo_.cpu_count());
+    SLACKVM_ASSERT(frontier.min_count.size() == topo_.cpu_count());
+    for (std::size_t cpu = 0; cpu < topo_.cpu_count(); ++cpu) {
+      const auto min =
+          distances_->min_distance_to(static_cast<topo::CpuId>(cpu), node.cpus());
+      SLACKVM_ASSERT(frontier.min_dist[cpu] == min);
+      std::uint32_t witnesses = 0;
+      node.cpus().for_each_cpu([&](topo::CpuId member) {
+        if ((*distances_)(static_cast<topo::CpuId>(cpu), member) == min) {
+          ++witnesses;
         }
-      }
-      if (frontier.total_valid) {
-        SLACKVM_ASSERT(frontier.total_dist.size() == topo_.cpu_count());
-        for (std::size_t cpu = 0; cpu < topo_.cpu_count(); ++cpu) {
-          SLACKVM_ASSERT(frontier.total_dist[cpu] ==
-                         distances_->total_distance_to(static_cast<topo::CpuId>(cpu),
-                                                       node.cpus()));
-        }
+      });
+      SLACKVM_ASSERT(frontier.min_count[cpu] == witnesses);
+    }
+    if (frontier.total_valid) {
+      SLACKVM_ASSERT(frontier.total_dist.size() == topo_.cpu_count());
+      for (std::size_t cpu = 0; cpu < topo_.cpu_count(); ++cpu) {
+        SLACKVM_ASSERT(frontier.total_dist[cpu] ==
+                       distances_->total_distance_to(static_cast<topo::CpuId>(cpu),
+                                                     node.cpus()));
       }
     }
   }
   SLACKVM_ASSERT(seen == topo_.all_cpus());
   SLACKVM_ASSERT(occupied_cpus_ == topo_.all_cpus() - free_cpus_);
   SLACKVM_ASSERT(level_to_vnode_.size() == vnodes_.size());
+  SLACKVM_ASSERT(frontiers_.size() == vnodes_.size());
   SLACKVM_ASSERT(mem == committed_mem_);
   SLACKVM_ASSERT(mem <= mem_capacity());
   SLACKVM_ASSERT(vms == vm_to_vnode_.size());

@@ -15,10 +15,12 @@
 // Hot-path bookkeeping is incremental: the Algorithm-1 distance matrix is
 // interned per hardware model (topo::DistanceMatrixCache) instead of rebuilt
 // per manager, occupied CPUs and the level→vNode map are maintained across
-// operations rather than recomputed, and CPU selection runs the frontier
-// fast path in local/placement.hpp with a reused scratch. The naive
-// selection functions remain available as a differential reference
-// (PlacementEngine::kNaive) and must produce bit-identical pin decisions.
+// operations rather than recomputed, and CPU selection runs
+// local/placement.hpp with a reused scratch over one persistent distance
+// frontier per vNode, seeded with the node. The per-step-rescan reference
+// (tests/reference/local_cpus.hpp) checks every resize in the tests: each
+// deploy, remove or retune must change at most one vNode's CPU set, exactly
+// as the reference selection applied to the state before it would.
 #pragma once
 
 #include <map>
@@ -41,12 +43,6 @@ enum class PoolingPolicy : std::uint8_t {
   kUpgrade,  ///< §V-B: place into a stricter existing vNode when feasible
 };
 
-/// Which CPU-selection implementation the manager drives (local/placement.hpp).
-enum class PlacementEngine : std::uint8_t {
-  kFast,   ///< incremental distance frontiers (default)
-  kNaive,  ///< per-step rescans — the differential reference
-};
-
 /// New pinning for one VM (all CPUs of its — possibly resized — vNode).
 struct PinUpdate {
   core::VmId vm{};
@@ -66,8 +62,7 @@ class VNodeManager {
   /// (limited DRAM oversubscription, paper footnote 2 / §VIII).
   explicit VNodeManager(const topo::CpuTopology& topo,
                         PoolingPolicy pooling = PoolingPolicy::kNone,
-                        double mem_oversub = 1.0,
-                        PlacementEngine engine = PlacementEngine::kFast);
+                        double mem_oversub = 1.0);
 
   /// Memory admission bound of this PM.
   [[nodiscard]] core::MemMib mem_capacity() const noexcept {
@@ -115,7 +110,6 @@ class VNodeManager {
   [[nodiscard]] core::MemMib committed_mem() const noexcept { return committed_mem_; }
   [[nodiscard]] std::size_t vm_count() const noexcept { return vm_to_vnode_.size(); }
   [[nodiscard]] bool hosts(core::VmId vm) const { return vm_to_vnode_.contains(vm); }
-  [[nodiscard]] PlacementEngine engine() const noexcept { return engine_; }
 
   /// Times the placement engine (pick_target) actually ran — cache hits from
   /// a can_host()/deploy() pair count once. Test/diagnostic instrumentation.
@@ -161,7 +155,6 @@ class VNodeManager {
   std::shared_ptr<const topo::DistanceMatrix> distances_;
   PoolingPolicy pooling_;
   double mem_oversub_ = 1.0;
-  PlacementEngine engine_ = PlacementEngine::kFast;
   bool draining_ = false;
   std::map<VNodeId, VNode> vnodes_;  // ordered for deterministic iteration
   std::map<core::VmId, VNodeId> vm_to_vnode_;
@@ -171,9 +164,10 @@ class VNodeManager {
   core::MemMib committed_mem_ = 0;
   VNodeId next_id_ = 0;
   PlacementScratch scratch_;
-  // Persistent per-vNode distance frontiers (fast engine only): the sum
-  // frontier survives every resize, the min frontier every grow — see
-  // placement.hpp. Audited against recomputation by check_invariants.
+  // Persistent per-vNode distance frontiers, one per entry of vnodes_: the
+  // min frontier is built by the seed selection and survives every resize,
+  // the sum frontier is built by the first release — see placement.hpp.
+  // Audited against recomputation by check_invariants.
   std::map<VNodeId, DistanceFrontier> frontiers_;
 
   // Target memo: valid while nothing mutated since it was computed.

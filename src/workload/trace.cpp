@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <ostream>
 
 #include "core/error.hpp"
 
@@ -59,15 +58,6 @@ Trace Trace::filter_level(core::OversubLevel level) const {
     }
   }
   return Trace(std::move(filtered));
-}
-
-void Trace::write_csv(std::ostream& os) const {
-  os << "id,vcpus,mem_mib,level,usage,arrival,departure\n";
-  for (const core::VmInstance& vm : vms_) {
-    os << vm.id.value << ',' << vm.spec.vcpus << ',' << vm.spec.mem_mib << ','
-       << static_cast<int>(vm.spec.level.ratio()) << ',' << core::to_string(vm.spec.usage)
-       << ',' << vm.arrival << ',' << vm.departure << '\n';
-  }
 }
 
 }  // namespace slackvm::workload

@@ -1,7 +1,6 @@
 // VM lifecycle traces: the "workload" fed to both evaluation platforms.
 #pragma once
 
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,10 +29,6 @@ class Trace {
   /// Restrict to VMs at one oversubscription level (dedicated-cluster
   /// baseline input).
   [[nodiscard]] Trace filter_level(core::OversubLevel level) const;
-
-  /// CSV output, header "id,vcpus,mem_mib,level,usage,arrival,departure";
-  /// workload::TraceReader reads it back.
-  void write_csv(std::ostream& os) const;
 
  private:
   std::vector<core::VmInstance> vms_;

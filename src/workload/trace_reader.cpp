@@ -463,7 +463,7 @@ struct TraceReader::Impl {
     }
     if (out.arrival < last_arrival) {
       fail(offset, "arrival", line,
-           "rows must be sorted by arrival (write_csv emits them sorted); this "
+           "rows must be sorted by arrival (write_csv_fast emits them sorted); this "
            "row arrives before the previous one");
     }
     last_arrival = out.arrival;
@@ -623,7 +623,7 @@ void write_csv_fast(const Trace& trace, std::ostream& os, TraceFormat format) {
   const auto put_time = [&out](double v) {
     std::array<char, 32> tmp{};
     // Shortest round-trip form: reading the file back reproduces the exact
-    // double, unlike write_csv's default 6-significant-digit truncation.
+    // double.
     const auto res = std::to_chars(tmp.data(), tmp.data() + tmp.size(), v);
     out.append(tmp.data(), res.ptr);
   };

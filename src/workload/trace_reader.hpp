@@ -24,7 +24,7 @@
 // Two on-disk formats are supported (auto-detected from the header line):
 //
 //   native  id,vcpus,mem_mib,level,usage,arrival,departure
-//           — the Trace::write_csv round-trip format;
+//           — the format write_csv_fast writes (below);
 //   real    id,vcpus,mem_mib,arrival,departure
 //           — real-provider style (SAP/Azure traces carry sizes and
 //             lifetimes but no oversubscription contract): the level is
@@ -53,7 +53,7 @@ class Trace;
 /// On-disk trace flavour; see the file comment.
 enum class TraceFormat : std::uint8_t {
   kAuto,    ///< resolve from the header line (constructor-time detection)
-  kNative,  ///< 7-column Trace::write_csv format
+  kNative,  ///< 7-column format of write_csv_fast
   kReal,    ///< 5-column real-provider format (level classified, usage steady)
 };
 
@@ -129,13 +129,11 @@ class TraceReader {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Fast CSV serializer: std::to_chars into a chunked buffer instead of
-/// ostream operator<< per field. Times are written in shortest
-/// round-trip form, so (unlike write_csv's default 6-significant-digit
-/// precision) reading the output back reproduces every timestamp
-/// bit-exactly. `format` selects the native 7-column or real 5-column
-/// layout (kAuto is invalid here). Shared by tools/trace_synth and
-/// bench/micro_trace.
+/// The trace writer: std::to_chars into a chunked buffer, rows in trace
+/// (arrival) order. Times are written in shortest round-trip form, so
+/// reading the output back reproduces every timestamp bit-exactly.
+/// `format` selects the native 7-column or real 5-column layout (kAuto is
+/// invalid here).
 void write_csv_fast(const Trace& trace, std::ostream& os,
                     TraceFormat format = TraceFormat::kNative);
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/local_cpus.hpp"
 #include "topology/builders.hpp"
 
 namespace slackvm::local {
@@ -199,7 +200,7 @@ TEST_F(TieBreak, FastAndNaiveAgreeOnPureTies) {
   topo::CpuSet free_cpus = flat_.all_cpus();
   free_cpus.reset(7);
   const auto fast = choose_seed_cpus(dm_, free_cpus, occupied, 4, scratch);
-  const auto ref = naive::choose_seed_cpus(dm_, free_cpus, occupied, 4);
+  const auto ref = reference::choose_seed_cpus(dm_, free_cpus, occupied, 4);
   ASSERT_TRUE(fast.has_value() && ref.has_value());
   EXPECT_EQ(*fast, *ref);
 }

@@ -1,7 +1,7 @@
 # Fails when a shipped library defines a symbol of the naive references that
-# live in tests/reference/ (or of the heat index's retired ordering flag):
-# those implementations belong to the tests, and src/ carries one path per
-# operation.
+# live in tests/reference/ (or of a retired second path: the heat index's
+# ordering flag, the local scheduler's engine switch): those implementations
+# belong to the tests, and src/ carries one path per operation.
 #
 #   cmake -DNM=<nm> -DLIBS=<lib1>;<lib2>;... -P no_reference_symbols.cmake
 if(NOT NM OR NOT LIBS)
@@ -12,7 +12,9 @@ set(forbidden
   "plan_interference_naive"
   "sample_host_usage"
   "Trace::read_csv"
-  "HeatIndex::ordered")
+  "HeatIndex::ordered"
+  "local::naive"
+  "PlacementEngine")
 set(found "")
 foreach(lib IN LISTS LIBS)
   execute_process(COMMAND ${NM} -C ${lib}

@@ -74,7 +74,7 @@ double parse_time(std::size_t line_no, const std::string& column,
 
 workload::Trace read_csv(std::istream& is) {
   // Stream-size heuristic: seekable inputs reveal their byte count, and a
-  // row of the write_csv format averages ~45 bytes, so one reservation
+  // row of the native format averages ~45 bytes, so one reservation
   // replaces the geometric growth's O(log n) reallocations (and their
   // copies) with a single allocation. Non-seekable streams skip the hint.
   std::size_t reserve_hint = 0;
@@ -137,7 +137,7 @@ workload::Trace read_csv(std::istream& is) {
     }
     if (vm.arrival < last_arrival) {
       row_fail(line_no, "arrival", line,
-               "rows must be sorted by arrival (write_csv emits them sorted); this "
+               "rows must be sorted by arrival (write_csv_fast emits them sorted); this "
                "row arrives before the previous one");
     }
     last_arrival = vm.arrival;

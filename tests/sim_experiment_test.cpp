@@ -12,6 +12,7 @@
 
 #include "core/error.hpp"
 #include "expect_identical.hpp"
+#include "workload/trace_reader.hpp"
 
 namespace slackvm::sim {
 namespace {
@@ -107,10 +108,10 @@ TEST(ExperimentTest, HeatmapRefusesATraceFile) {
       (std::filesystem::temp_directory_path() / "slackvm_heatmap_trace.csv").string();
   {
     std::ofstream out(cfg.trace_path);
-    workload::Generator(workload::azure_catalog(), workload::distribution('F'),
-                        cfg.generator)
-        .generate()
-        .write_csv(out);
+    workload::write_csv_fast(workload::Generator(workload::azure_catalog(),
+                                                 workload::distribution('F'), cfg.generator)
+                                 .generate(),
+                             out);
   }
   try {
     (void)run_savings_heatmap(workload::azure_catalog(), cfg);

@@ -8,6 +8,7 @@
 
 #include "core/error.hpp"
 #include "reference/trace_csv.hpp"
+#include "workload/trace_reader.hpp"
 
 namespace slackvm::workload {
 namespace {
@@ -72,7 +73,7 @@ TEST(TraceTest, CsvRoundTrip) {
   const Trace original({vm, make_vm(8, 1, 2, 1)});
 
   std::stringstream buffer;
-  original.write_csv(buffer);
+  write_csv_fast(original, buffer);
   const Trace restored = reference::read_csv(buffer);
 
   ASSERT_EQ(restored.size(), 2U);
@@ -88,7 +89,7 @@ TEST(TraceTest, CsvRoundTrip) {
 
 TEST(TraceTest, CsvHeaderWritten) {
   std::stringstream buffer;
-  Trace{}.write_csv(buffer);
+  write_csv_fast(Trace{}, buffer);
   std::string header;
   std::getline(buffer, header);
   EXPECT_EQ(header, "id,vcpus,mem_mib,level,usage,arrival,departure");

@@ -153,7 +153,7 @@ int cmd_generate(const Args& args) {
   if (!out) {
     throw core::SlackError("cannot write " + args.out_path);
   }
-  trace.write_csv(out);
+  workload::write_csv_fast(trace, out);
   std::printf("wrote %zu VMs to %s (provider %s, distribution %c, seed %llu)\n",
               trace.size(), args.out_path.c_str(), scenario.provider.c_str(),
               scenario.distribution,
